@@ -12,7 +12,8 @@
 //             4x its solo p99, and the greedy surplus bounces as
 //             quota_rejected instead of queueing unboundedly.
 //   trace     a traced run; verifies every wire request produced one
-//             accept -> decode -> admit -> execute -> ship trace and
+//             accept -> decode -> execute (slot wait first) -> ship trace
+//             and
 //             that traced ship bytes == server ship stats == client
 //             receipts (the codec's accounting, end to end).
 //
@@ -439,8 +440,8 @@ int main(int argc, char** argv) {
   uint64_t traced_ship_bytes = 0;
   for (const auto& span : spans) {
     if (span.stage != obs::Stage::kRequest) continue;
-    bool accept = false, decode = false, admit = false, query = false,
-         ship = false;
+    bool accept = false, decode = false, slot_wait = false, ship = false;
+    uint64_t query_span = 0;
     for (const auto& child : spans) {
       if (child.trace_id != span.trace_id ||
           child.parent_id != span.span_id) {
@@ -448,20 +449,27 @@ int main(int argc, char** argv) {
       }
       if (child.stage == obs::Stage::kAccept) accept = true;
       if (child.stage == obs::Stage::kDecode) decode = true;
-      if (child.stage == obs::Stage::kAdmit) admit = true;
-      if (child.stage == obs::Stage::kQuery) query = true;
+      if (child.stage == obs::Stage::kQuery) query_span = child.span_id;
       if (child.stage == obs::Stage::kShip) {
         ship = true;
         traced_ship_bytes += child.bytes;
       }
     }
-    if (accept && decode && admit && query && ship) ++complete_traces;
+    for (const auto& child : spans) {
+      if (child.trace_id == span.trace_id && query_span != 0 &&
+          child.parent_id == query_span &&
+          child.stage == obs::Stage::kQueueWait) {
+        slot_wait = true;
+      }
+    }
+    if (accept && decode && slot_wait && ship) ++complete_traces;
   }
   bool traces_ok = complete_traces == kTracedQueries &&
                    traced_ship_bytes == client_bytes &&
                    server_ship_bytes == client_bytes;
   std::printf(
-      "traces: %d/%d complete (accept->decode->admit->execute->ship)\n",
+      "traces: %d/%d complete (accept->decode->slot wait->execute->"
+      "ship)\n",
       complete_traces, kTracedQueries);
   std::printf(
       "ship accounting: traced %llu B == server %llu B == client %llu B "

@@ -3,8 +3,9 @@
 // 15-28 s for REGION- and intensity-filtered queries) but not where the
 // time goes. This bench runs the three query classes through the traced
 // query service with the 1993 I/O cost model realized as wall waits,
-// and reports a measured per-stage table (translate / plan / io /
-// decode / ship / import) per class, checking that the direct stages
+// and reports a measured per-stage table (slot wait / translate / info /
+// data, with plan / io / decode beneath it) per class, checking that the
+// direct stages
 // sum to the end-to-end latency within 10% — the tracer's coverage
 // guarantee. A final arm measures the cost of a *disabled* tracer
 // against no tracer at all (the near-zero-overhead claim), and the full
@@ -41,13 +42,13 @@ using qbism::service::ServiceRequest;
 
 namespace {
 
-/// The stages that partition a request's wall time end to end (deeper
-/// stages — extract, shard, plan, io, decode — nest inside kData and
-/// would double-count).
+/// The stages that partition a served request's wall time end to end
+/// (deeper stages — extract, shard, plan, io, decode — nest inside kData
+/// and would double-count). The service serves the database half only,
+/// so no ship / import / render stage appears.
 constexpr Stage kDirectStages[] = {
     Stage::kQueueWait, Stage::kCacheProbe, Stage::kTranslate, Stage::kInfo,
-    Stage::kData,      Stage::kShip,       Stage::kImport,    Stage::kRender,
-    Stage::kRetry,     Stage::kIoWait,
+    Stage::kData,      Stage::kRetry,      Stage::kIoWait,
 };
 
 struct ClassResult {

@@ -1,4 +1,4 @@
-// Concurrent query service demo: stands up the thread-pooled front end
+// Concurrent query service demo: stands up the slot-admitted front end
 // over a loaded database, fires a burst of mixed clinical queries from
 // several client threads, and prints the per-request accounting and the
 // service-wide metrics — admission control, the shared result cache,
@@ -16,7 +16,6 @@
 using qbism::service::QueryService;
 using qbism::service::ServiceOptions;
 using qbism::service::ServiceRequest;
-using qbism::service::Ticket;
 
 int main() {
   std::printf("QBISM service demo: loading 3 PET studies...\n");
@@ -34,12 +33,12 @@ int main() {
   options.num_workers = 4;
   options.queue_capacity = 16;
   QueryService service(ext.get(), options);
-  std::printf("Service up: %d workers, queue capacity %zu.\n\n",
+  std::printf("Service up: %d slots, queue capacity %zu.\n\n",
               service.num_workers(), options.queue_capacity);
 
   // A small clinical review session: each client repeatedly asks for a
   // structure restriction of its study — the second round of each is
-  // served by the shared cache no matter which worker picks it up.
+  // served by the shared cache no matter which slot runs it.
   std::vector<std::thread> clients;
   for (int c = 0; c < 3; ++c) {
     clients.emplace_back([&service, &dataset, c] {
@@ -51,7 +50,7 @@ int main() {
         QBISM_CHECK(reply.ok());
         std::printf(
             "client %d round %d: study %d/%s -> %llu voxels "
-            "(worker %d, %s, %.1f ms)\n",
+            "(slot %d, %s, %.1f ms)\n",
             c, round, request.spec.study_id,
             dataset.structure_names[c].c_str(),
             static_cast<unsigned long long>(reply->result.result_voxels),

@@ -2,26 +2,22 @@
 
 namespace qbism::net {
 
-void SimulatedChannel::SendControl(uint64_t bytes) {
-  ++stats_.messages;
-  stats_.bytes += bytes;
-  stats_.simulated_seconds +=
-      model_.per_message_seconds +
-      static_cast<double>(bytes) / model_.bandwidth_bytes_per_second;
-}
-
-void SimulatedChannel::SendBulk(uint64_t bytes) {
-  uint64_t chunks = (bytes + model_.chunk_bytes - 1) / model_.chunk_bytes;
-  if (bytes == 0) chunks = 0;
-  stats_.messages += chunks;
-  stats_.bytes += bytes;
-  stats_.simulated_seconds +=
-      static_cast<double>(chunks) * model_.per_message_seconds +
-      static_cast<double>(bytes) / model_.bandwidth_bytes_per_second;
-}
-
-void SimulatedChannel::RoundTrip() {
-  stats_.simulated_seconds += model_.rtt_seconds;
+ModeledTransfer ModelTransfer(const NetworkCostModel& model,
+                              uint64_t control_bytes, uint64_t bulk_bytes) {
+  ModeledTransfer out;
+  out.seconds = model.rtt_seconds;
+  if (control_bytes > 0) {
+    out.messages = 1;
+    out.seconds += model.per_message_seconds +
+                   static_cast<double>(control_bytes) /
+                       model.bandwidth_bytes_per_second;
+  }
+  uint64_t chunks = (bulk_bytes + model.chunk_bytes - 1) / model.chunk_bytes;
+  out.messages += chunks;
+  out.seconds += static_cast<double>(chunks) * model.per_message_seconds +
+                 static_cast<double>(bulk_bytes) /
+                     model.bandwidth_bytes_per_second;
+  return out;
 }
 
 }  // namespace qbism::net

@@ -19,48 +19,19 @@ struct NetworkCostModel {
   double rtt_seconds = 0.004;           // per round trip (query/answer)
 };
 
-/// Traffic accounting for one side of the channel.
-struct ChannelStats {
+/// Modeled cost of one request/answer exchange over the 1993 link.
+struct ModeledTransfer {
   uint64_t messages = 0;
-  uint64_t bytes = 0;
-  double simulated_seconds = 0.0;
-
-  /// Saturating delta: a "before" snapshot taken prior to a stats reset
-  /// can be larger than the "after"; clamp each field at zero instead
-  /// of wrapping the unsigned counters around.
-  ChannelStats operator-(const ChannelStats& o) const {
-    auto sat = [](uint64_t a, uint64_t b) { return a >= b ? a - b : 0; };
-    double seconds = simulated_seconds - o.simulated_seconds;
-    return {sat(messages, o.messages), sat(bytes, o.bytes),
-            seconds > 0.0 ? seconds : 0.0};
-  }
+  double seconds = 0.0;
 };
 
-/// Simulated RPC channel: records messages/bytes and accumulates model
-/// time; no real sockets are involved (both "processes" live in this
-/// address space, but all shipped bytes are charged).
-class SimulatedChannel {
- public:
-  explicit SimulatedChannel(NetworkCostModel model = NetworkCostModel{})
-      : model_(model) {}
-
-  /// Sends one control message (query string, acknowledgement, ...).
-  void SendControl(uint64_t bytes);
-
-  /// Ships a bulk payload, chunked into data messages.
-  void SendBulk(uint64_t bytes);
-
-  /// Charges one request/response round trip.
-  void RoundTrip();
-
-  const ChannelStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = ChannelStats{}; }
-  const NetworkCostModel& model() const { return model_; }
-
- private:
-  NetworkCostModel model_;
-  ChannelStats stats_;
-};
+/// Prices one round trip that carries `control_bytes` in a single
+/// control message (none when 0; the query text, say) and `bulk_bytes`
+/// in ceil(bulk_bytes / chunk_bytes) data messages (the answer). Pure:
+/// nothing is sent and no state is kept; the Table-3 reproduction
+/// fills its modeled network columns from this.
+ModeledTransfer ModelTransfer(const NetworkCostModel& model,
+                              uint64_t control_bytes, uint64_t bulk_bytes);
 
 }  // namespace qbism::net
 

@@ -8,7 +8,6 @@
 
 namespace qbism {
 
-using net::ChannelStats;
 using region::Region;
 using sql::ResultSet;
 using sql::Value;
@@ -42,7 +41,7 @@ std::string QuerySpec::Describe() const {
 MedicalServer::MedicalServer(SpatialExtension* ext,
                              net::NetworkCostModel net_model,
                              ServerCostModel cost_model)
-    : ext_(ext), channel_(net_model), cost_model_(cost_model) {}
+    : ext_(ext), net_model_(net_model), cost_model_(cost_model) {}
 
 std::string MedicalServer::BuildInfoSql(const QuerySpec& spec) const {
   std::ostringstream sql;
@@ -178,8 +177,7 @@ Result<std::shared_ptr<const DataRegion>> FirstDataRegion(
 
 }  // namespace
 
-Result<StudyQueryResult> MedicalServer::RunStudyQuery(
-    const QuerySpec& spec, bool render, const viz::Camera& camera) {
+Result<StudyQueryResult> MedicalServer::AnswerQuery(const QuerySpec& spec) {
   sql::Database* db = ext_->db();
   // Pin the epoch for the whole query (no-op without a WAL): every
   // long-field read resolves against one consistent pre-ingest view,
@@ -187,31 +185,6 @@ Result<StudyQueryResult> MedicalServer::RunStudyQuery(
   // meanwhile.
   storage::ReadSnapshot snapshot(db->epochs());
   StudyQueryResult out;
-
-  // --- DX cache fast path (§5.2): reviewing a recent result needs no
-  //     database reaccess and no network traffic. ------------------------
-  if (spec.allow_cached) {
-    if (auto cached = dx_.CacheGet(spec.Describe())) {
-      out.data = *cached;
-      out.result_runs = out.data.region().RunCount();
-      out.result_voxels = out.data.VoxelCount();
-      out.data_sql = "(served from the DX cache)";
-      obs::Span import(obs::Stage::kImport);
-      viz::DxExecutive::ImportResult imported = dx_.ImportVolume(out.data);
-      import.End();
-      out.timing.import_cpu_seconds = imported.cpu_seconds;
-      if (render) {
-        obs::Span render_span(obs::Stage::kRender);
-        viz::DxExecutive::RenderResult rendered =
-            dx_.Render(imported.dense, camera);
-        out.timing.render_seconds = rendered.cpu_seconds;
-        out.image = std::move(rendered.image);
-      }
-      out.timing.total_seconds =
-          out.timing.import_cpu_seconds + out.timing.render_seconds;
-      return out;
-    }
-  }
 
   QBISM_RETURN_NOT_OK(Checkpoint());
   // Extraction runs at UDF depth, below the per-stage checkpoints; the
@@ -239,24 +212,30 @@ Result<StudyQueryResult> MedicalServer::RunStudyQuery(
   out.timing.other_seconds =
       other_timer.Seconds() + cost_model_.sql_compile_seconds;
 
-  // --- Database phase: the data query. ---------------------------------
+  // --- Database phase: the data query. The span also covers copying
+  // the answer out of the result set and freeing the set — for a full
+  // study both move megabytes. -------------------------------------------
   QBISM_RETURN_NOT_OK(Checkpoint());
   IoStats lfm_before = db->long_field_device()->thread_stats();
   IoStats rel_before = db->relational_device()->thread_stats();
   ThreadCpuTimer db_cpu;
   WallTimer db_wall;
   obs::Span data_span(obs::Stage::kData);
-  Result<ResultSet> data_exec = [&] {
+  Status answered = [&]() -> Status {
     // Extraction (kExtract/kShard/kIo) and decode spans opened at UDF
     // depth nest under this kData span.
     obs::ScopedTraceContext data_ctx(data_span.context());
-    return db->Execute(out.data_sql);
+    QBISM_ASSIGN_OR_RETURN(ResultSet data_result, db->Execute(out.data_sql));
+    QBISM_ASSIGN_OR_RETURN(auto data_region, FirstDataRegion(data_result));
+    out.data = *data_region;
+    return Status::OK();
   }();
-  if (!data_exec.ok()) {
+  if (!answered.ok()) {
     data_span.SetFailed();
-    return data_exec.status();
+    return answered;
   }
-  ResultSet data_result = data_exec.MoveValue();
+  out.result_runs = out.data.region().RunCount();
+  out.result_voxels = out.data.VoxelCount();
   out.timing.db_cpu_seconds = db_cpu.Seconds();
   IoStats lfm_delta = db->long_field_device()->thread_stats() - lfm_before;
   IoStats rel_delta = db->relational_device()->thread_stats() - rel_before;
@@ -267,46 +246,57 @@ Result<StudyQueryResult> MedicalServer::RunStudyQuery(
                                rel_delta.simulated_seconds;
   out.timing.lfm_pages = lfm_delta.pages_read + lfm_delta.pages_written;
 
-  // --- Network: ship query + answer over the simulated channel. The
-  // span also covers materializing the answer out of the result set —
-  // for a full study that copy moves megabytes. ------------------------
-  QBISM_RETURN_NOT_OK(Checkpoint());
-  {
-    obs::Span ship(obs::Stage::kShip);
-    QBISM_ASSIGN_OR_RETURN(auto data_region, FirstDataRegion(data_result));
-    out.data = *data_region;
-    out.result_runs = out.data.region().RunCount();
-    out.result_voxels = out.data.VoxelCount();
-    ship.AddBytes(out.data_sql.size() + out.data.ApproxSizeBytes());
-    ChannelStats net_before = channel_.stats();
-    channel_.RoundTrip();
-    channel_.SendControl(out.data_sql.size());
-    channel_.SendBulk(out.data.ApproxSizeBytes());
-    ChannelStats net_delta = channel_.stats() - net_before;
-    out.timing.network_messages = net_delta.messages;
-    out.timing.network_seconds = net_delta.simulated_seconds;
-  }
+  // --- Network: the query text and the answer over the modeled link. --
+  net::ModeledTransfer shipped = net::ModelTransfer(
+      net_model_, out.data_sql.size(), out.data.ApproxSizeBytes());
+  out.timing.network_messages = shipped.messages;
+  out.timing.network_seconds = shipped.seconds;
+  out.timing.total_seconds = out.timing.other_seconds +
+                             out.timing.db_real_seconds +
+                             out.timing.network_seconds;
+  return out;
+}
 
-  // --- DX executive: ImportVolume, then render. ------------------------
+Result<StudyQueryResult> MedicalServer::RunStudyQuery(
+    const QuerySpec& spec, bool render, const viz::Camera& camera) {
+  // DX cache fast path (§5.2): reviewing a recent result needs no
+  // database reaccess and no network traffic.
+  if (spec.allow_cached) {
+    if (auto cached = dx_.CacheGet(spec.Describe())) {
+      StudyQueryResult out;
+      out.data = *cached;
+      out.result_runs = out.data.region().RunCount();
+      out.result_voxels = out.data.VoxelCount();
+      out.data_sql = "(served from the DX cache)";
+      ImportAndRender("", render, camera, &out);
+      return out;
+    }
+  }
+  QBISM_ASSIGN_OR_RETURN(StudyQueryResult out, AnswerQuery(spec));
+  ImportAndRender(spec.Describe(), render, camera, &out);
+  return out;
+}
+
+void MedicalServer::ImportAndRender(const std::string& cache_key, bool render,
+                                    const viz::Camera& camera,
+                                    StudyQueryResult* out) {
   obs::Span import(obs::Stage::kImport);
-  viz::DxExecutive::ImportResult imported = dx_.ImportVolume(out.data);
-  out.timing.import_cpu_seconds = imported.cpu_seconds;
+  viz::DxExecutive::ImportResult imported = dx_.ImportVolume(out->data);
+  out->timing.import_cpu_seconds = imported.cpu_seconds;
   // The DX-cache insert deep-copies the answer; charge it to import.
-  dx_.CachePut(spec.Describe(), std::make_shared<DataRegion>(out.data));
+  if (!cache_key.empty()) {
+    dx_.CachePut(cache_key, std::make_shared<DataRegion>(out->data));
+  }
   import.End();
   if (render) {
     obs::Span render_span(obs::Stage::kRender);
     viz::DxExecutive::RenderResult rendered =
         dx_.Render(imported.dense, camera);
-    out.timing.render_seconds = rendered.cpu_seconds;
-    out.image = std::move(rendered.image);
+    out->timing.render_seconds = rendered.cpu_seconds;
+    out->image = std::move(rendered.image);
   }
-
-  out.timing.total_seconds =
-      out.timing.other_seconds + out.timing.db_real_seconds +
-      out.timing.network_seconds + out.timing.import_cpu_seconds +
-      out.timing.render_seconds;
-  return out;
+  out->timing.total_seconds += out->timing.import_cpu_seconds;
+  out->timing.total_seconds += out->timing.render_seconds;
 }
 
 Result<MultiStudyResult> MedicalServer::ConsistentBandRegion(
@@ -431,30 +421,19 @@ Result<StudyQueryResult> MedicalServer::AverageInStructure(
                                rel_delta.simulated_seconds;
   out.timing.lfm_pages = lfm_delta.pages_read + lfm_delta.pages_written;
 
-  ChannelStats net_before = channel_.stats();
-  channel_.RoundTrip();
-  channel_.SendBulk(out.data.ApproxSizeBytes());
-  ChannelStats net_delta = channel_.stats() - net_before;
-  out.timing.network_messages = net_delta.messages;
-  out.timing.network_seconds = net_delta.simulated_seconds;
-
-  viz::DxExecutive::ImportResult imported = dx_.ImportVolume(out.data);
-  out.timing.import_cpu_seconds = imported.cpu_seconds;
-  if (render) {
-    viz::DxExecutive::RenderResult rendered =
-        dx_.Render(imported.dense, camera);
-    out.timing.render_seconds = rendered.cpu_seconds;
-    out.image = std::move(rendered.image);
-  }
+  net::ModeledTransfer shipped =
+      net::ModelTransfer(net_model_, 0, out.data.ApproxSizeBytes());
+  out.timing.network_messages = shipped.messages;
+  out.timing.network_seconds = shipped.seconds;
 
   out.timing.other_seconds += other_timer.Seconds() - db_wall.Seconds();
   if (out.timing.other_seconds < cost_model_.sql_compile_seconds) {
     out.timing.other_seconds = cost_model_.sql_compile_seconds;
   }
-  out.timing.total_seconds =
-      out.timing.other_seconds + out.timing.db_real_seconds +
-      out.timing.network_seconds + out.timing.import_cpu_seconds +
-      out.timing.render_seconds;
+  out.timing.total_seconds = out.timing.other_seconds +
+                             out.timing.db_real_seconds +
+                             out.timing.network_seconds;
+  ImportAndRender("", render, camera, &out);
   return out;
 }
 

@@ -42,7 +42,8 @@ struct QuerySpec {
   /// When true, a result cached in the DX executive under this spec's
   /// Describe() key short-circuits the database and network entirely
   /// (the paper flushed this cache before each measured run; it exists
-  /// for the interactive review loop of §5.2).
+  /// for the interactive review loop of §5.2). Honored by RunStudyQuery
+  /// only: the query service and the wire protocol ignore it.
   bool allow_cached = false;
 
   bool IsFullStudy() const {
@@ -96,17 +97,26 @@ struct ServerCostModel {
 };
 
 /// The MedicalServer process (§5.2): translates high-level query specs
-/// into SQL, runs them against the extended DBMS, and ships results to
-/// the DX executive over the simulated RPC channel. Owns the channel
-/// and a DX executive instance so end-to-end timing can be assembled.
+/// into SQL, runs them against the extended DBMS, and prices shipping
+/// the answer to the DX executive over the modeled 1993 RPC link. Owns
+/// a DX executive instance so the Table-3 end-to-end timing can be
+/// assembled in process.
 class MedicalServer {
  public:
   MedicalServer(SpatialExtension* ext,
                 net::NetworkCostModel net_model = net::NetworkCostModel{},
                 ServerCostModel cost_model = ServerCostModel{});
 
-  /// Runs a single-study query end to end: info query, data query,
-  /// network shipping, ImportVolume, and (optionally) rendering.
+  /// The database half of a single-study query — all the MedicalServer
+  /// itself does: translate the spec, run the info and data queries,
+  /// copy the answer out of the result set, and fill the modeled
+  /// network columns. No DX work: import and render stay 0. This is
+  /// what the query service serves.
+  Result<StudyQueryResult> AnswerQuery(const QuerySpec& spec);
+
+  /// Table 3 end to end: AnswerQuery (or, with allow_cached, a DX-cache
+  /// hit) followed by the DX half — ImportVolume, the DX-cache insert,
+  /// and (optionally) rendering.
   Result<StudyQueryResult> RunStudyQuery(const QuerySpec& spec,
                                          bool render = true,
                                          const viz::Camera& camera = {});
@@ -139,14 +149,13 @@ class MedicalServer {
       int query_study, const std::vector<int>& candidates, size_t k);
 
   viz::DxExecutive* dx() { return &dx_; }
-  net::SimulatedChannel* channel() { return &channel_; }
   SpatialExtension* extension() { return ext_; }
 
-  /// Cooperative interruption for the query service: RunStudyQuery
-  /// polls this checkpoint between its stages (before the info query,
-  /// before the data query, and before shipping/import). A non-OK
-  /// return aborts the query with that status, so a deadline or
-  /// cancellation cannot wedge a worker for longer than one stage.
+  /// Cooperative interruption for the query service: AnswerQuery polls
+  /// this checkpoint between its stages (before the info query and
+  /// before the data query), and extraction polls it between shard
+  /// batches. A non-OK return aborts the query with that status, so an
+  /// expired deadline cannot hold a slot for longer than one stage.
   /// Pass nullptr to clear. Read only by the thread driving this
   /// server; a MedicalServer is not itself shared across threads.
   void set_interrupt(std::function<Status()> interrupt) {
@@ -165,13 +174,19 @@ class MedicalServer {
   Result<std::vector<std::pair<int, int>>> StoredBandsCovering(
       int study_id, int lo, int hi) const;
 
+  /// The DX half: ImportVolume (plus the DX-cache insert under
+  /// `cache_key` when non-empty) and the optional render, adding their
+  /// columns to out->timing.
+  void ImportAndRender(const std::string& cache_key, bool render,
+                       const viz::Camera& camera, StudyQueryResult* out);
+
   /// OK when no interrupt hook is installed or it reports OK.
   Status Checkpoint() const {
     return interrupt_ ? interrupt_() : Status::OK();
   }
 
   SpatialExtension* ext_;
-  net::SimulatedChannel channel_;
+  net::NetworkCostModel net_model_;
   ServerCostModel cost_model_;
   viz::DxExecutive dx_;
   std::function<Status()> interrupt_;

@@ -16,6 +16,14 @@ constexpr uint32_t kMaxSqlBytes = 1u << 20;
 constexpr uint32_t kMaxNameBytes = 4096;
 constexpr uint32_t kMaxRegionBytes = 256u << 20;
 
+/// Every decoder consumes its whole payload: appended bytes are as much
+/// a corruption as missing ones.
+Status ExpectEnd(const WireReader& r, const char* what) {
+  if (r.AtEnd()) return Status::OK();
+  return Status::Corruption(std::string("trailing bytes after ") + what +
+                            " payload");
+}
+
 void PutTiming(WireWriter* w, const qbism::TimingBreakdown& t) {
   w->PutF64(t.db_cpu_seconds);
   w->PutF64(t.db_real_seconds);
@@ -55,6 +63,7 @@ Result<HelloRequest> DecodeHello(const std::vector<uint8_t>& payload) {
   HelloRequest out;
   QBISM_ASSIGN_OR_RETURN(out.tenant, r.GetString(kMaxNameBytes));
   QBISM_ASSIGN_OR_RETURN(out.secret, r.GetString(kMaxNameBytes));
+  QBISM_RETURN_NOT_OK(ExpectEnd(r, "hello"));
   return out;
 }
 
@@ -72,6 +81,7 @@ Result<WelcomeReply> DecodeWelcome(const std::vector<uint8_t>& payload) {
   QBISM_ASSIGN_OR_RETURN(out.session_token, r.GetU64());
   QBISM_ASSIGN_OR_RETURN(out.session_ttl_seconds, r.GetF64());
   QBISM_ASSIGN_OR_RETURN(out.chunk_bytes, r.GetU32());
+  QBISM_RETURN_NOT_OK(ExpectEnd(r, "welcome"));
   return out;
 }
 
@@ -97,8 +107,6 @@ std::vector<uint8_t> EncodeQuery(const QueryRequest& query) {
     w.PutI32(spec.intensity_range->second);
   }
   w.PutU8(spec.use_band_index ? 1 : 0);
-  w.PutU8(spec.allow_cached ? 1 : 0);
-  w.PutU8(query.render ? 1 : 0);
   w.PutF64(query.deadline_seconds);
   return w.Take();
 }
@@ -134,14 +142,8 @@ Result<QueryRequest> DecodeQuery(const std::vector<uint8_t>& payload) {
   }
   QBISM_ASSIGN_OR_RETURN(uint8_t band_index, r.GetU8());
   spec.use_band_index = band_index != 0;
-  QBISM_ASSIGN_OR_RETURN(uint8_t cached, r.GetU8());
-  spec.allow_cached = cached != 0;
-  QBISM_ASSIGN_OR_RETURN(uint8_t render, r.GetU8());
-  out.render = render != 0;
   QBISM_ASSIGN_OR_RETURN(out.deadline_seconds, r.GetF64());
-  if (!r.AtEnd()) {
-    return Status::Corruption("trailing bytes after query payload");
-  }
+  QBISM_RETURN_NOT_OK(ExpectEnd(r, "query"));
   return out;
 }
 
@@ -174,6 +176,7 @@ Result<ResultHeader> DecodeResultHeader(const std::vector<uint8_t>& payload) {
   QBISM_RETURN_NOT_OK(GetTiming(&r, &out.timing));
   QBISM_ASSIGN_OR_RETURN(out.info_sql, r.GetString(kMaxSqlBytes));
   QBISM_ASSIGN_OR_RETURN(out.data_sql, r.GetString(kMaxSqlBytes));
+  QBISM_RETURN_NOT_OK(ExpectEnd(r, "result header"));
   return out;
 }
 
@@ -182,7 +185,6 @@ std::vector<uint8_t> EncodeResultEnd(const ResultEnd& end) {
   w.PutU64(end.payload_bytes);
   w.PutU32(end.chunk_count);
   w.PutU32(end.payload_crc);
-  w.PutF64(end.modeled_egress_seconds);
   return w.Take();
 }
 
@@ -192,7 +194,7 @@ Result<ResultEnd> DecodeResultEnd(const std::vector<uint8_t>& payload) {
   QBISM_ASSIGN_OR_RETURN(out.payload_bytes, r.GetU64());
   QBISM_ASSIGN_OR_RETURN(out.chunk_count, r.GetU32());
   QBISM_ASSIGN_OR_RETURN(out.payload_crc, r.GetU32());
-  QBISM_ASSIGN_OR_RETURN(out.modeled_egress_seconds, r.GetF64());
+  QBISM_RETURN_NOT_OK(ExpectEnd(r, "result end"));
   return out;
 }
 
@@ -219,6 +221,7 @@ Result<ErrorReply> DecodeError(const std::vector<uint8_t>& payload) {
   }
   out.reason = static_cast<ErrorReason>(reason);
   QBISM_ASSIGN_OR_RETURN(out.message, r.GetString(kMaxSqlBytes));
+  QBISM_RETURN_NOT_OK(ExpectEnd(r, "error"));
   return out;
 }
 
@@ -287,9 +290,7 @@ Result<volume::DataRegion> DecodeAnswerPayload(
   }
   QBISM_ASSIGN_OR_RETURN(std::vector<uint8_t> values,
                          r.GetRaw(static_cast<size_t>(value_count)));
-  if (!r.AtEnd()) {
-    return Status::Corruption("trailing bytes after answer payload");
-  }
+  QBISM_RETURN_NOT_OK(ExpectEnd(r, "answer"));
   return volume::DataRegion(std::move(reg), std::move(values));
 }
 

@@ -16,7 +16,8 @@ namespace qbism::server {
 /// Message codec: the payload formats carried inside protocol frames.
 /// Every Decode* goes through the bounds-checked WireReader, so a
 /// malformed payload yields a clean Corruption status, never a read
-/// past the buffer. docs/NETWORK.md documents each layout.
+/// past the buffer, and every decoder rejects trailing bytes.
+/// docs/NETWORK.md documents each layout.
 
 /// kHello payload.
 struct HelloRequest {
@@ -31,10 +32,10 @@ struct WelcomeReply {
   uint32_t chunk_bytes = 0;  // result streaming chunk size the server uses
 };
 
-/// kQuery payload: the QuerySpec plus request-scoped service controls.
+/// kQuery payload: the QuerySpec (its result-affecting fields; the
+/// in-process allow_cached hint does not travel) plus the deadline.
 struct QueryRequest {
   qbism::QuerySpec spec;
-  bool render = false;
   double deadline_seconds = 0.0;
 };
 
@@ -61,7 +62,6 @@ struct ResultEnd {
   uint64_t payload_bytes = 0;
   uint32_t chunk_count = 0;
   uint32_t payload_crc = 0;
-  double modeled_egress_seconds = 0.0;  // egress shaper accounting
 };
 
 /// kError payload.

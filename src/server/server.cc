@@ -59,10 +59,10 @@ Status QbismServer::Start() {
 
   auth_ = std::make_unique<AuthManager>(
       options_.tenants, options_.session_ttl_seconds, options_.auth_seed);
-  service_ =
-      std::make_unique<service::QueryService>(ext_, options_.service);
-  governor_ = std::make_unique<TenantGovernor>(options_.tenants,
-                                               service_->num_workers());
+  service_ = std::make_unique<service::QueryService>(
+      ext_, options_.service,
+      std::vector<service::TenantShare>(options_.tenants.begin(),
+                                        options_.tenants.end()));
   per_tenant_.clear();
   for (size_t i = 0; i < options_.tenants.size(); ++i) {
     per_tenant_.push_back(std::make_unique<PerTenant>());
@@ -258,7 +258,9 @@ void QbismServer::HandleConnection(Connection* conn) {
     }
     if (!keep) break;
   }
-  conn->socket.Close();
+  // Tell the peer we are done; the fd itself is closed after this
+  // thread is joined (ReapFinished / Shutdown).
+  conn->socket.ShutdownBoth();
   connections_open_.fetch_sub(1, std::memory_order_relaxed);
   conn->done.store(true, std::memory_order_release);
 }
@@ -318,37 +320,28 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
                      query.status());
   }
 
-  // Fair-share admission: this is where a greedy tenant's surplus waits
-  // (or bounces) while other tenants' reserved slots stay reachable.
-  obs::Span admit(request_span.context(), obs::Stage::kAdmit);
-  Result<AdmissionSlot> slot = governor_->Admit(tenant);
-  admit.End();
-  if (!slot.ok()) {
-    request_span.SetFailed();
-    if (slot.status().IsResourceExhausted()) {
-      service_->NoteQuotaRejected();
-      tstats->queries_failed.fetch_add(1, std::memory_order_relaxed);
-      PenalizeQuota();
-      return SendError(conn, header.request_id, ErrorReason::kQuotaRejected,
-                       slot.status());
-    }
-    return SendError(conn, header.request_id, ErrorReason::kShutdown,
-                     slot.status());
-  }
-
+  // One call: the service's admission point applies the tenant's
+  // fair-share cap and waiting quota, then the query runs on this
+  // thread.
   service::ServiceRequest request;
   request.spec = query->spec;
-  request.render = query->render;
+  request.tenant = tenant;
   request.deadline_seconds = query->deadline_seconds;
   request.trace_parent = request_span.context();
   Result<service::ServiceReply> reply = service_->Execute(request);
-  slot->Release();
   if (!reply.ok()) {
-    queries_failed_.fetch_add(1, std::memory_order_relaxed);
     tstats->queries_failed.fetch_add(1, std::memory_order_relaxed);
     request_span.SetFailed();
+    if (service::SlotAdmission::IsQuotaRejection(reply.status())) {
+      PenalizeQuota();
+      return SendError(conn, header.request_id, ErrorReason::kQuotaRejected,
+                       reply.status());
+    }
+    queries_failed_.fetch_add(1, std::memory_order_relaxed);
     ErrorReason reason = reply.status().IsResourceExhausted()
                              ? ErrorReason::kServerBusy
+                         : reply.status().IsCancelled()
+                             ? ErrorReason::kShutdown
                              : ErrorReason::kQueryFailed;
     return SendError(conn, header.request_id, reason, reply.status());
   }
@@ -397,23 +390,6 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
                        header.request_id, chunk)
                .ok();
   }
-  double modeled = 0.0;
-  if (options_.shape_egress) {
-    // The paper's §6.1 accounting over the real socket: each chunk is a
-    // data message; one round trip covers request/first-response.
-    const net::NetworkCostModel& m = options_.egress_model;
-    modeled = static_cast<double>(chunks) * m.per_message_seconds +
-              static_cast<double>(total) / m.bandwidth_bytes_per_second +
-              m.rtt_seconds;
-    double cur = modeled_egress_seconds_.load(std::memory_order_relaxed);
-    while (!modeled_egress_seconds_.compare_exchange_weak(
-        cur, cur + modeled, std::memory_order_relaxed)) {
-    }
-    if (options_.egress_wait_scale > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          options_.egress_wait_scale * modeled));
-    }
-  }
   ship.AddBytes(total);
   if (!sent) {
     ship.SetFailed();
@@ -438,7 +414,6 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
   re.payload_bytes = total;
   re.chunk_count = chunks;
   re.payload_crc = Crc32(*payload);
-  re.modeled_egress_seconds = modeled;
   sent = SendCounted(conn, MessageType::kResultEnd, header.session,
                      header.request_id, EncodeResultEnd(re))
              .ok();
@@ -454,12 +429,15 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
 void QbismServer::Shutdown() {
   if (!running_.exchange(false)) return;
   stopping_.store(true);
-  // Wake admission waiters first so no connection thread is parked in
-  // the governor when we sever its socket.
-  if (governor_ != nullptr) governor_->Close();
+  // Requests waiting for a slot leave with Cancelled (their connection
+  // threads then reply kShutdown); running ones finish first.
+  if (service_ != nullptr) service_->Shutdown();
+  // Only shutdown(2) crosses threads: an fd is closed by its owner after
+  // the thread using it is joined, so no thread ever touches a closed
+  // (and possibly reused) fd number.
   listener_.ShutdownBoth();
-  listener_.Close();
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.Close();
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (auto& conn : conns_) conn->socket.ShutdownBoth();
@@ -474,7 +452,6 @@ void QbismServer::Shutdown() {
     }
     if (conn->thread.joinable()) conn->thread.join();
   }
-  if (service_ != nullptr) service_->Shutdown();
 }
 
 ServerStats QbismServer::stats() const {
@@ -496,8 +473,6 @@ ServerStats QbismServer::stats() const {
   out.quota_penalties = quota_penalties_.load(std::memory_order_relaxed);
   out.quota_penalty_seconds =
       quota_penalty_seconds_.load(std::memory_order_relaxed);
-  out.modeled_egress_seconds =
-      modeled_egress_seconds_.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -509,7 +484,9 @@ TenantWireStats QbismServer::tenant_stats(int tenant) const {
   out.queries_failed = t.queries_failed.load(std::memory_order_relaxed);
   out.ship_bytes = t.ship_bytes.load(std::memory_order_relaxed);
   out.latency = t.latency.Summarize();
-  if (governor_ != nullptr) out.admission = governor_->tenant_stats(tenant);
+  if (service_ != nullptr) {
+    out.admission = service_->admission()->tenant_stats(tenant);
+  }
   return out;
 }
 

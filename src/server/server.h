@@ -10,8 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "net/channel.h"
-#include "server/admission.h"
 #include "server/auth.h"
 #include "server/codec.h"
 #include "server/socket_io.h"
@@ -19,8 +17,9 @@
 
 namespace qbism::server {
 
-/// Socket front-end sizing and policy. The inner pool (workers, queue,
-/// cache, retries, tracer) is configured through `service`.
+/// Socket front-end sizing and policy. The query service behind it
+/// (slots, waiting bound, cache, retries, tracer) is configured through
+/// `service`; `tenants` feeds both authentication and its admission.
 struct ServerOptions {
   /// 0 binds a kernel-assigned localhost port; port() reports it.
   uint16_t port = 0;
@@ -48,14 +47,6 @@ struct ServerOptions {
   double quota_penalty_seconds = 0.010;
   std::vector<TenantConfig> tenants;
   service::ServiceOptions service;
-  /// Optional egress shaping with the paper's network cost model: every
-  /// result ship is charged modeled seconds (chunks as data messages),
-  /// accumulated in stats().modeled_egress_seconds; a scale > 0 also
-  /// realizes scale x modeled as a real sleep, which keeps the paper's
-  /// 69s-vs-15-28s reproduction runnable over real sockets.
-  bool shape_egress = false;
-  net::NetworkCostModel egress_model;
-  double egress_wait_scale = 0.0;
 };
 
 /// Aggregate server counters (one consistent-enough snapshot).
@@ -79,32 +70,32 @@ struct ServerStats {
   /// charged (connection-thread sleep, not service time).
   uint64_t quota_penalties = 0;
   double quota_penalty_seconds = 0.0;
-  double modeled_egress_seconds = 0.0;
 };
 
-/// Per-tenant wire accounting (admission stats live on the governor).
+/// Per-tenant wire accounting plus the service's admission view.
 struct TenantWireStats {
   std::string name;
   uint64_t queries_ok = 0;
   uint64_t queries_failed = 0;
   uint64_t ship_bytes = 0;
   service::LatencySummary latency;  // request read -> last byte shipped
-  TenantAdmissionStats admission;
+  service::TenantAdmissionStats admission;
 };
 
-/// The real network front end (ROADMAP item 1): a TCP listener on
-/// localhost speaking the framed binary protocol of server/protocol.h,
-/// thread-per-connection with a connection cap, token-based sessions
-/// (AuthManager), per-tenant fair-share admission (TenantGovernor)
-/// layered on the QueryService pool, and chunked streaming of query
-/// answers. When the service is traced, every wire request becomes one
-/// trace: kRequest root -> kAccept (frame receive) / kDecode / kAdmit /
-/// kQuery (the service's stage tree) / kShip (socket writes).
+/// The real network front end: a TCP listener on localhost speaking the
+/// framed binary protocol of server/protocol.h, thread-per-connection
+/// with a connection cap, token-based sessions (AuthManager), and
+/// chunked streaming of query answers. Each connection thread runs its
+/// queries itself through QueryService::Execute, whose one admission
+/// point applies the tenants' fair-share caps and quotas. When the
+/// service is traced, every wire request becomes one trace: kRequest
+/// root -> kAccept (frame receive) / kDecode / kQuery (the service's
+/// tree, slot wait first) / kShip (socket writes).
 ///
 ///   clients ==TCP== accept loop -> connection threads
 ///                      |  HELLO -> AuthManager (sessions, tokens)
-///                      |  QUERY -> TenantGovernor (fair share, quotas)
-///                      |            -> QueryService pool -> chunked ship
+///                      |  QUERY -> QueryService::Execute (slot wait,
+///                      |           answer) -> chunked ship
 ///
 /// The extension must be fully loaded before Start(); the server treats
 /// it as read-only, exactly like QueryService.
@@ -116,7 +107,7 @@ class QbismServer {
   QbismServer(const QbismServer&) = delete;
   QbismServer& operator=(const QbismServer&) = delete;
 
-  /// Binds, listens, and starts the accept loop + service pool.
+  /// Binds, listens, and starts the accept loop and the service.
   Status Start();
 
   /// Stops accepting, severs every connection, drains the service.
@@ -134,9 +125,11 @@ class QbismServer {
 
   service::QueryService* service() { return service_.get(); }
   AuthManager* auth() { return auth_.get(); }
-  TenantGovernor* governor() { return governor_.get(); }
 
  private:
+  /// The connection thread only ever shuts its socket down; the fd is
+  /// closed by whoever joins the thread, so no other thread can be
+  /// left holding a closed (and possibly reused) fd number.
   struct Connection {
     FrameSocket socket;
     std::thread thread;
@@ -169,7 +162,6 @@ class QbismServer {
   ServerOptions options_;
   std::unique_ptr<service::QueryService> service_;
   std::unique_ptr<AuthManager> auth_;
-  std::unique_ptr<TenantGovernor> governor_;
   std::vector<std::unique_ptr<PerTenant>> per_tenant_;
 
   FrameSocket listener_;
@@ -196,7 +188,6 @@ class QbismServer {
   std::atomic<uint64_t> queries_failed_{0};
   std::atomic<uint64_t> quota_penalties_{0};
   std::atomic<double> quota_penalty_seconds_{0.0};
-  std::atomic<double> modeled_egress_seconds_{0.0};
 };
 
 }  // namespace qbism::server

@@ -127,7 +127,7 @@ struct MetricsSnapshot {
   std::string ToJson() const;
 };
 
-/// Shared service-wide counters, aggregated across workers via atomics;
+/// Shared service-wide counters, aggregated across threads via atomics;
 /// doubles totaled via compare-exchange loops (no double fetch_add until
 /// C++20 libstdc++ catches up everywhere).
 class ServiceMetrics {

@@ -1,64 +1,43 @@
 #include "service/query_service.h"
 
-#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <utility>
+#include <thread>
 
 #include "common/macros.h"
-#include "common/timer.h"
 #include "qbism/ingest.h"
 
 namespace qbism::service {
 
 using Clock = std::chrono::steady_clock;
 
-/// Completion state shared between the submitting client, the worker,
-/// and any Cancel() caller.
-struct Ticket::State {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::optional<Result<ServiceReply>> reply;  // guarded by mu
-
-  std::atomic<bool> cancelled{false};
-  Clock::time_point submitted;
-  Clock::time_point deadline;  // time_point::max() = none
-  bool has_deadline = false;
+/// Per-request state for one Execute call.
+struct QueryService::Call {
+  const ServiceRequest* request = nullptr;
+  Clock::time_point arrived;
+  Clock::time_point deadline = Clock::time_point::max();  // max = none
 
   /// Tracing: the request's root context (span_id is the kQuery root
   /// span, recorded retroactively at completion), the tracer clock at
-  /// admission, and the query-class label. All-zero when tracing is off.
+  /// arrival, and the query-class label. All-zero when tracing is off.
   obs::TraceContext trace;
   uint64_t root_parent = 0;  // parent span when joining a front-end trace
   double trace_start = 0.0;
   char trace_label[16] = {0};
+
+  bool has_deadline() const { return deadline != Clock::time_point::max(); }
 };
 
-Result<ServiceReply> Ticket::Wait() const {
-  if (!state_) return Status::InvalidArgument("Ticket::Wait: empty ticket");
-  std::unique_lock<std::mutex> lock(state_->mu);
-  state_->cv.wait(lock, [&] { return state_->reply.has_value(); });
-  return *state_->reply;
-}
-
-void Ticket::Cancel() {
-  if (state_) state_->cancelled.store(true, std::memory_order_relaxed);
-}
-
-bool Ticket::Done() const {
-  if (!state_) return false;
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->reply.has_value();
-}
-
 QueryService::QueryService(qbism::SpatialExtension* ext,
-                           ServiceOptions options)
+                           ServiceOptions options,
+                           const std::vector<TenantShare>& tenants)
     : ext_(ext),
       options_(options),
       cache_(options.cache_entries, options.cache_bytes),
-      queue_(options.queue_capacity) {
+      admission_(options.num_workers, options.queue_capacity, tenants) {
   extractor_baseline_ = ext_->extractor()->stats();
   int helper_threads = options_.extract_helper_threads < 0
                            ? options_.num_workers
@@ -85,152 +64,123 @@ QueryService::QueryService(qbism::SpatialExtension* ext,
           }
         });
   }
-  for (int i = 0; i < options_.num_workers; ++i) {
+  for (int i = 0; i < admission_.num_slots(); ++i) {
     servers_.push_back(std::make_unique<qbism::MedicalServer>(
-        ext_, options_.net_model, options_.cost_model));
-  }
-  for (int i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+        ext_, net::NetworkCostModel{}, options_.cost_model));
   }
 }
 
 QueryService::~QueryService() { Shutdown(); }
 
-Result<Ticket> QueryService::Submit(const ServiceRequest& request) {
+Result<ServiceReply> QueryService::Execute(const ServiceRequest& request) {
   metrics_.AddSubmitted();
-  {
-    std::lock_guard<std::mutex> lock(shutdown_mu_);
-    if (shut_down_) {
-      return Status::Cancelled("QueryService: service is shut down");
-    }
+  Call call;
+  call.request = &request;
+  call.arrived = Clock::now();
+  if (request.deadline_seconds > 0.0) {
+    call.deadline = call.arrived +
+                    std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double>(request.deadline_seconds));
   }
-  auto state = std::make_shared<Ticket::State>();
-  state->submitted = Clock::now();
   if (options_.tracer != nullptr && options_.tracer->enabled()) {
     if (request.trace_parent.tracer == options_.tracer) {
       // Join the front end's trace: the kQuery root becomes a child of
       // the server's per-request span instead of a fresh trace root.
-      state->trace = request.trace_parent;
-      state->root_parent = request.trace_parent.span_id;
+      call.trace = request.trace_parent;
+      call.root_parent = request.trace_parent.span_id;
     } else {
-      state->trace = options_.tracer->StartTrace();
+      call.trace = options_.tracer->StartTrace();
     }
-    state->trace.span_id = options_.tracer->NextSpanId();  // root span id
-    state->trace_start = options_.tracer->NowSeconds();
+    call.trace.span_id = options_.tracer->NextSpanId();  // root span id
+    call.trace_start = options_.tracer->NowSeconds();
     const qbism::QuerySpec& spec = request.spec;
     const char* label = spec.intensity_range            ? "intensity"
                         : spec.box || spec.structure_name ? "region"
                                                           : "full";
-    std::strncpy(state->trace_label, label, sizeof(state->trace_label) - 1);
+    std::strncpy(call.trace_label, label, sizeof(call.trace_label) - 1);
   }
-  if (request.deadline_seconds > 0.0) {
-    state->has_deadline = true;
-    state->deadline =
-        state->submitted +
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(request.deadline_seconds));
-  } else {
-    state->deadline = Clock::time_point::max();
+
+  Result<SlotAdmission::Slot> slot =
+      admission_.Acquire(request.tenant, call.deadline);
+  if (!slot.ok() && !slot.status().IsDeadlineExceeded() &&
+      !slot.status().IsCancelled()) {
+    // Bounced at the door: never waited, never ran.
+    if (SlotAdmission::IsQuotaRejection(slot.status())) {
+      metrics_.AddQuotaRejected();
+    } else if (slot.status().IsResourceExhausted()) {
+      metrics_.AddRejectedQueueFull();
+    }
+    return slot.status();
   }
-  if (!queue_.TryPush(Pending{request, state})) {
-    metrics_.AddRejectedQueueFull();
-    return Status::ResourceExhausted(
-        "QueryService: admission queue full (" +
-        std::to_string(queue_.capacity()) + " pending); retry with backoff");
+  double queue_wait =
+      std::chrono::duration<double>(Clock::now() - call.arrived).count();
+  metrics_.RecordQueueWait(queue_wait);
+  if (call.trace.tracer != nullptr) {
+    // The slot wait, recorded retroactively (it already happened).
+    obs::SpanRecord qw;
+    qw.trace_id = call.trace.trace_id;
+    qw.span_id = call.trace.tracer->NextSpanId();
+    qw.parent_id = call.trace.span_id;
+    qw.stage = obs::Stage::kQueueWait;
+    qw.ok = slot.ok();
+    qw.start_seconds = call.trace_start;
+    qw.duration_seconds = queue_wait;
+    call.trace.tracer->Record(qw);
   }
-  Ticket ticket;
-  ticket.state_ = std::move(state);
-  return ticket;
+  Result<ServiceReply> reply =
+      slot.ok() ? Serve(slot->index(), call)
+                : Result<ServiceReply>(slot.status());
+  Complete(call, &reply);
+  return reply;
 }
 
-Result<ServiceReply> QueryService::Execute(const ServiceRequest& request) {
-  QBISM_ASSIGN_OR_RETURN(Ticket ticket, Submit(request));
-  return ticket.Wait();
-}
-
-void QueryService::Complete(const std::shared_ptr<Ticket::State>& state,
-                            Result<ServiceReply> reply) {
+void QueryService::Complete(const Call& call, Result<ServiceReply>* reply) {
   double latency =
-      std::chrono::duration<double>(Clock::now() - state->submitted).count();
-  if (reply.ok()) {
+      std::chrono::duration<double>(Clock::now() - call.arrived).count();
+  if (reply->ok()) {
     metrics_.AddCompleted();
-    metrics_.AddLfmPages(reply->result.timing.lfm_pages);
-    metrics_.AddNetworkSeconds(reply->result.timing.network_seconds);
-    reply->total_seconds = latency;
-  } else if (reply.status().IsDeadlineExceeded()) {
+    metrics_.AddLfmPages((*reply)->result.timing.lfm_pages);
+    metrics_.AddNetworkSeconds((*reply)->result.timing.network_seconds);
+    (*reply)->total_seconds = latency;
+  } else if (reply->status().IsDeadlineExceeded()) {
     metrics_.AddDeadlineExpired();
-  } else if (reply.status().IsCancelled()) {
+  } else if (reply->status().IsCancelled()) {
     metrics_.AddCancelled();
   } else {
     metrics_.AddFailed();
   }
   metrics_.RecordLatency(latency);
-  if (state->trace.tracer != nullptr) {
-    // The root span, recorded retroactively so it covers admission to
+  if (call.trace.tracer != nullptr) {
+    // The root span, recorded retroactively so it covers arrival to
     // reply (its children were recorded live as the request executed).
     obs::SpanRecord root;
-    root.trace_id = state->trace.trace_id;
-    root.span_id = state->trace.span_id;
-    root.parent_id = state->root_parent;
+    root.trace_id = call.trace.trace_id;
+    root.span_id = call.trace.span_id;
+    root.parent_id = call.root_parent;
     root.stage = obs::Stage::kQuery;
-    root.ok = reply.ok();
-    root.start_seconds = state->trace_start;
+    root.ok = reply->ok();
+    root.start_seconds = call.trace_start;
     root.duration_seconds =
-        state->trace.tracer->NowSeconds() - state->trace_start;
-    std::memcpy(root.label, state->trace_label, sizeof(root.label));
-    state->trace.tracer->Record(root);
-  }
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->reply = std::move(reply);
-  }
-  state->cv.notify_all();
-}
-
-void QueryService::WorkerLoop(int worker_id) {
-  qbism::MedicalServer* server = servers_[static_cast<size_t>(worker_id)].get();
-  while (true) {
-    std::optional<Pending> pending = queue_.Pop();
-    if (!pending) return;  // closed and drained
-    Complete(pending->state, Serve(server, worker_id, *pending));
+        call.trace.tracer->NowSeconds() - call.trace_start;
+    std::memcpy(root.label, call.trace_label, sizeof(root.label));
+    call.trace.tracer->Record(root);
   }
 }
 
-Result<ServiceReply> QueryService::Serve(qbism::MedicalServer* server,
-                                         int worker_id,
-                                         const Pending& pending) {
-  const std::shared_ptr<Ticket::State>& state = pending.state;
-  Clock::time_point picked_up = Clock::now();
-  double queue_wait =
-      std::chrono::duration<double>(picked_up - state->submitted).count();
-  metrics_.RecordQueueWait(queue_wait);
-
-  // Everything this worker (and any donated helper) does for the
+Result<ServiceReply> QueryService::Serve(int slot, const Call& call) {
+  qbism::MedicalServer* server = servers_[static_cast<size_t>(slot)].get();
+  // Everything this thread (and any donated helper) does for the
   // request now runs under its trace.
-  obs::ScopedTraceContext trace_ctx(state->trace);
-  if (state->trace.tracer != nullptr) {
-    // Queue residence, recorded retroactively (it already happened).
-    obs::SpanRecord qw;
-    qw.trace_id = state->trace.trace_id;
-    qw.span_id = state->trace.tracer->NextSpanId();
-    qw.parent_id = state->trace.span_id;
-    qw.stage = obs::Stage::kQueueWait;
-    qw.start_seconds = state->trace_start;
-    qw.duration_seconds = queue_wait;
-    state->trace.tracer->Record(qw);
+  obs::ScopedTraceContext trace_ctx(call.trace);
+
+  // Requests that outlived their deadline while waiting never touch
+  // the database, so a burst of doomed work drains at admission speed
+  // instead of query speed.
+  if (call.has_deadline() && Clock::now() >= call.deadline) {
+    return Status::DeadlineExceeded("deadline expired waiting for a slot");
   }
 
-  // Admission-to-execution gate: requests that died in the queue never
-  // touch the database, so a burst of doomed work drains at checkpoint
-  // speed instead of query speed.
-  if (state->cancelled.load(std::memory_order_relaxed)) {
-    return Status::Cancelled("request cancelled while queued");
-  }
-  if (state->has_deadline && picked_up >= state->deadline) {
-    return Status::DeadlineExceeded("deadline expired in admission queue");
-  }
-
-  const qbism::QuerySpec& spec = pending.request.spec;
+  const qbism::QuerySpec& spec = call.request->spec;
   // Visibility gate, checked before the cache probe: a study mid-ingest
   // or quarantined by a failed replace must not be served at all — not
   // even from cache.
@@ -243,61 +193,47 @@ Result<ServiceReply> QueryService::Serve(qbism::MedicalServer* server,
       options_.ingest != nullptr
           ? options_.ingest->CommitVersion(spec.study_id)
           : 0;
-  std::string key = spec.Describe();
   ServiceReply reply;
-  reply.worker_id = worker_id;
-  reply.queue_wait_seconds = queue_wait;
-  WallTimer execute_timer;
+  reply.worker_id = slot;
 
+  // The probe span covers building the key too (a string stream; the
+  // process's first one pays the locale setup). A disabled cache needs
+  // no key at all.
   obs::Span probe(obs::Stage::kCacheProbe);
+  const std::string key = cache_.enabled() ? spec.Describe() : std::string();
   std::shared_ptr<const volume::DataRegion> hit = cache_.Get(key);
   probe.SetLabel(hit ? "hit" : "miss");
-  probe.End();
   if (hit) {
-    // Shared-cache fast path: no SQL, no LFM I/O, no network model —
-    // only ImportVolume (and rendering, when asked) still run, exactly
-    // like the §5.2 DX cache but across all clients.
+    // Shared-cache fast path: no SQL, no LFM I/O, no modeled network.
+    // The probe span also covers copying the answer out of the cache.
     metrics_.AddCacheHit();
     reply.cache_hit = true;
     qbism::StudyQueryResult& out = reply.result;
     out.data = *hit;
+    probe.End();
     out.result_runs = out.data.region().RunCount();
     out.result_voxels = out.data.VoxelCount();
     out.data_sql = "(served from the shared result cache)";
-    obs::Span import(obs::Stage::kImport);
-    viz::DxExecutive::ImportResult imported = server->dx()->ImportVolume(out.data);
-    import.End();
-    out.timing.import_cpu_seconds = imported.cpu_seconds;
-    if (pending.request.render) {
-      obs::Span render_span(obs::Stage::kRender);
-      viz::DxExecutive::RenderResult rendered =
-          server->dx()->Render(imported.dense, pending.request.camera);
-      out.timing.render_seconds = rendered.cpu_seconds;
-      out.image = std::move(rendered.image);
-    }
-    out.timing.total_seconds =
-        out.timing.import_cpu_seconds + out.timing.render_seconds;
-    reply.execute_seconds = execute_timer.Seconds();
     return reply;
   }
+  probe.End();
   if (cache_.enabled()) metrics_.AddCacheMiss();
 
-  // Full query path, with the deadline/cancel checkpoint installed so a
-  // slow query aborts between stages instead of wedging the worker.
-  server->set_interrupt([state]() -> Status {
-    if (state->cancelled.load(std::memory_order_relaxed)) {
-      return Status::Cancelled("request cancelled mid-query");
-    }
-    if (state->has_deadline && Clock::now() >= state->deadline) {
-      return Status::DeadlineExceeded("deadline expired mid-query");
-    }
-    return Status::OK();
-  });
-  Result<qbism::StudyQueryResult> result = server->RunStudyQuery(
-      spec, pending.request.render, pending.request.camera);
+  // Full query path, with the deadline checkpoint installed so a slow
+  // query aborts between stages instead of wedging the slot.
+  if (call.has_deadline()) {
+    Clock::time_point deadline = call.deadline;
+    server->set_interrupt([deadline]() -> Status {
+      if (Clock::now() >= deadline) {
+        return Status::DeadlineExceeded("deadline expired mid-query");
+      }
+      return Status::OK();
+    });
+  }
+  Result<qbism::StudyQueryResult> result = server->AnswerQuery(spec);
   // Transient-fault recovery: IOError is the retryable class (injected
   // disk faults; flaky media in the real world). Anything else — bad
-  // specs, cancellation, deadline — fails immediately.
+  // specs, deadline — fails immediately.
   for (int attempt = 0;
        !result.ok() && result.status().IsIOError() &&
        attempt < options_.max_retries;
@@ -306,14 +242,10 @@ Result<ServiceReply> QueryService::Serve(qbism::MedicalServer* server,
     if (backoff > options_.retry_backoff_max_seconds) {
       backoff = options_.retry_backoff_max_seconds;
     }
-    if (state->cancelled.load(std::memory_order_relaxed)) {
-      server->set_interrupt(nullptr);
-      return Status::Cancelled("request cancelled between retries");
-    }
-    if (state->has_deadline &&
+    if (call.has_deadline() &&
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double>(backoff)) >=
-            state->deadline) {
+            call.deadline) {
       break;  // the backoff alone would blow the deadline; give up
     }
     if (backoff > 0.0) {
@@ -324,17 +256,12 @@ Result<ServiceReply> QueryService::Serve(qbism::MedicalServer* server,
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
     }
     metrics_.AddRetry();
-    result = server->RunStudyQuery(spec, pending.request.render,
-                                   pending.request.camera);
+    result = server->AnswerQuery(spec);
   }
   if (!result.ok() && result.status().IsIOError()) {
     metrics_.AddGiveup();
   }
   server->set_interrupt(nullptr);
-  // The per-worker DX cache would shadow the shared tier (and grow
-  // without bound under a streaming workload); the shared cache is the
-  // one source of reuse.
-  server->dx()->FlushCache();
   if (!result.ok()) return result.status();
 
   reply.result = result.MoveValue();
@@ -348,12 +275,12 @@ Result<ServiceReply> QueryService::Serve(qbism::MedicalServer* server,
           options_.io_wait_scale * modeled_wait));
     }
   }
-  reply.execute_seconds = execute_timer.Seconds();
   // Fill only if no ingest of this study committed while the query ran;
   // otherwise this (now stale) result would be inserted after the
-  // commit's invalidation swept the key.
-  if (options_.ingest == nullptr ||
-      options_.ingest->CommitVersion(spec.study_id) == ingest_version) {
+  // commit's invalidation swept the key. A disabled cache takes no copy.
+  if (cache_.enabled() &&
+      (options_.ingest == nullptr ||
+       options_.ingest->CommitVersion(spec.study_id) == ingest_version)) {
     cache_.Put(key,
                std::make_shared<const volume::DataRegion>(reply.result.data));
   }
@@ -386,13 +313,9 @@ void QueryService::Shutdown() {
     options_.ingest->RemoveCommitListener(ingest_listener_token_);
     ingest_listener_token_ = 0;
   }
-  queue_.Close();
-  // Fail pending work fast instead of letting workers run it down.
-  for (Pending& pending : queue_.DrainNow()) {
-    Complete(pending.state,
-             Status::Cancelled("QueryService: shut down before execution"));
-  }
-  for (std::thread& worker : workers_) worker.join();
+  // Waiting requests leave with Cancelled; running ones finish first.
+  admission_.Close();
+  admission_.WaitIdle();
   // Detach and drain the helper pool only if it is still ours — a later
   // service sharing the extension may have installed its own.
   if (extract_pool_ != nullptr) {

@@ -1,23 +1,18 @@
 #ifndef QBISM_SERVICE_QUERY_SERVICE_H_
 #define QBISM_SERVICE_QUERY_SERVICE_H_
 
-#include <chrono>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
 #include "common/task_pool.h"
-#include "net/channel.h"
 #include "obs/trace.h"
 #include "qbism/medical_server.h"
 #include "qbism/spatial_extension.h"
-#include "service/admission_queue.h"
 #include "service/metrics.h"
 #include "service/result_cache.h"
+#include "service/slots.h"
 
 namespace qbism {
 class IngestManager;
@@ -29,61 +24,40 @@ struct StudyRecord;
 namespace qbism::service {
 
 /// One client request: a query spec plus service-level controls. The
-/// deadline is measured from admission; 0 disables it.
+/// deadline is measured from arrival in Execute (it bounds the wait for
+/// a slot too); 0 disables it.
 struct ServiceRequest {
   qbism::QuerySpec spec;
-  bool render = false;
-  viz::Camera camera;
+  /// Index into the tenant table the service was built with; 0 when it
+  /// was built without one.
+  int tenant = 0;
   double deadline_seconds = 0.0;
   /// When set (and its tracer is the service's), the request joins this
   /// trace instead of starting a fresh one: the kQuery root span hangs
   /// under trace_parent.span_id, so a front end (the socket server) can
-  /// stitch accept -> decode -> admit -> execute -> ship into one tree.
+  /// stitch accept -> decode -> execute -> ship into one tree.
   obs::TraceContext trace_parent;
 };
 
-/// Reply for a completed request: the ordinary single-study result plus
+/// Reply for a completed request: the database answer plus
 /// service-side accounting.
 struct ServiceReply {
   qbism::StudyQueryResult result;
   bool cache_hit = false;
-  int worker_id = -1;
-  double queue_wait_seconds = 0.0;  // admission -> picked up by a worker
-  double execute_seconds = 0.0;     // worker time (cache probe + query)
-  double total_seconds = 0.0;       // admission -> reply, real wall time
-};
-
-/// Handle to an in-flight request. Cheap to copy (shared state).
-class Ticket {
- public:
-  Ticket() = default;
-
-  /// Blocks until the request completes (workers enforce deadlines, so
-  /// this terminates as long as the service is running or shut down).
-  Result<ServiceReply> Wait() const;
-
-  /// Best-effort cancellation: a queued request completes Cancelled
-  /// when a worker reaches it; a running one aborts at the server's
-  /// next stage checkpoint.
-  void Cancel();
-
-  bool Done() const;
-  bool Valid() const { return state_ != nullptr; }
-
- private:
-  friend class QueryService;
-  struct State;
-  std::shared_ptr<State> state_;
+  int worker_id = -1;          // the slot (and MedicalServer) used
+  double total_seconds = 0.0;  // arrival -> reply, real wall time
 };
 
 /// Sizing and cost knobs for the service.
 struct ServiceOptions {
-  /// Fixed worker pool; each worker owns a full MedicalServer (private
-  /// SimulatedChannel + DxExecutive) over the shared extension. 0 is
-  /// allowed (nothing drains — used by admission-control tests).
+  /// Execution slots; each owns a MedicalServer over the shared
+  /// extension, and a request runs on its caller's thread while it
+  /// holds one. 0 is allowed (nothing is ever granted — used by
+  /// admission tests).
   int num_workers = 4;
-  /// Bounded admission queue; submissions beyond this are rejected
-  /// immediately with ResourceExhausted.
+  /// Requests allowed to wait for a slot at once, across all tenants;
+  /// arrivals beyond this are rejected immediately with
+  /// ResourceExhausted.
   size_t queue_capacity = 64;
   /// Shared LRU result cache; 0 entries disables it.
   size_t cache_entries = 128;
@@ -91,10 +65,10 @@ struct ServiceOptions {
   /// When > 0, each executed query's modeled wait time — the simulated
   /// LFM/relational I/O stall plus network shipping time that the cost
   /// models charge but never spend — is realized as a real wall-clock
-  /// wait of `io_wait_scale` x that many seconds. Workers overlap these
-  /// waits exactly the way the 1993 system overlapped disk and RPC, so
-  /// throughput benchmarks see the pool's concurrency benefit on any
-  /// host. Cache hits perform no I/O and therefore never wait. 0 = off.
+  /// wait of `io_wait_scale` x that many seconds. Concurrent requests
+  /// overlap these waits exactly the way the 1993 system overlapped
+  /// disk and RPC, so throughput benchmarks see the slots' concurrency
+  /// benefit on any host. Cache hits perform no I/O and therefore never wait. 0 = off.
   double io_wait_scale = 0.0;
   /// Transient-fault handling: a query that fails with IOError (the
   /// code injected disk faults and, on real hardware, flaky media
@@ -111,12 +85,12 @@ struct ServiceOptions {
   /// extension's ParallelExtractor, so a large EXTRACT_DATA borrows idle
   /// capacity while the pool's fair-share cap keeps one query from
   /// monopolizing it. -1 sizes the pool to num_workers; 0 disables
-  /// (extractions run inline on their worker).
+  /// (extractions run inline on the request's thread).
   int extract_helper_threads = -1;
   /// Optional tracing sink (not owned; must outlive the service). Each
-  /// admitted request becomes one trace: a kQuery root span labeled by
-  /// query class, with queue wait, cache probe, the server's stage
-  /// spans, retries, and realized I/O waits as children. When null or
+  /// request becomes one trace: a kQuery root span labeled by query
+  /// class, with the slot wait (kQueueWait), cache probe, the server's
+  /// stage spans, retries, and realized I/O waits as children. When null or
   /// disabled every instrumentation point costs one thread-local read
   /// and a branch. metrics().stages carries the per-stage summaries.
   obs::Tracer* tracer = nullptr;
@@ -131,38 +105,44 @@ struct ServiceOptions {
   /// refresh also bumps the stats version, invalidating cached plans
   /// built against the old distribution. Requires `ingest`.
   bool refresh_planner_stats_on_commit = true;
-  net::NetworkCostModel net_model;
   qbism::ServerCostModel cost_model;
 };
 
-/// The concurrent query-serving front end: a fixed pool of worker
-/// threads, each owning its own MedicalServer, over one shared
-/// read-mostly SpatialExtension/Database, fed by a bounded admission
-/// queue and fronted by a server-wide LRU result cache.
+/// The concurrent query-serving front end: `num_workers` execution
+/// slots, each owning its own MedicalServer, over one shared read-mostly
+/// SpatialExtension/Database, behind one tenant-weighted admission point
+/// and a server-wide LRU result cache. Execute runs on the caller's
+/// thread: it waits for a slot, serves the request on that slot's
+/// MedicalServer (database half only — no DX import or render), and
+/// returns the answer.
 ///
-///   clients --Submit--> [admission queue] --> worker_0 .. worker_{N-1}
-///                              |                   |         |
-///                       (reject on full)     MedicalServer per worker
-///                                                  \         /
-///                                      shared SpatialExtension + DBMS
-///                                            shared ResultCache
+///   caller threads --Execute--> [SlotAdmission: tenant caps, waiting
+///        |                        bounds, deadline] --slot i-->
+///        |                                  MedicalServer i
+///        +---- shared ResultCache ----+            |
+///                              shared SpatialExtension + DBMS
 ///
 /// The extension/database must be fully loaded before the service
-/// starts; workers treat it as read-only.
+/// starts; requests treat it as read-only.
 class QueryService {
  public:
-  QueryService(qbism::SpatialExtension* ext, ServiceOptions options);
+  /// `tenants` configures the fair-share admission (one weighted cap
+  /// and waiting quota per tenant, indexed by ServiceRequest::tenant);
+  /// empty means a single tenant that may use every slot.
+  QueryService(qbism::SpatialExtension* ext, ServiceOptions options,
+               const std::vector<TenantShare>& tenants = {});
   ~QueryService();
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Admits a request or rejects it without blocking:
-  /// ResourceExhausted when the queue is full, Cancelled after
-  /// Shutdown.
-  Result<Ticket> Submit(const ServiceRequest& request);
-
-  /// Convenience: Submit + Wait (the closed-loop client pattern).
+  /// Admits the request, waiting for a slot if need be, and serves it on
+  /// the calling thread:
+  ///   ResourceExhausted  waiting line full — the tenant's
+  ///                      (SlotAdmission::IsQuotaRejection) or the
+  ///                      global queue_capacity bound
+  ///   DeadlineExceeded   the deadline passed waiting or mid-query
+  ///   Cancelled          the service is (being) shut down
   Result<ServiceReply> Execute(const ServiceRequest& request);
 
   /// Online ingest through the service (requires options.ingest):
@@ -171,8 +151,9 @@ class QueryService {
   /// Counted in metrics().ingests / ingest_failures.
   Status RunIngest(const qbism::med::StudyRecord& record, bool replace);
 
-  /// Stops admissions, fails everything still queued with Cancelled,
-  /// and joins the workers. Idempotent; the destructor calls it.
+  /// Stops admissions, fails every waiting request with Cancelled, and
+  /// waits for the requests holding slots to finish. Idempotent; the
+  /// destructor calls it.
   void Shutdown();
 
   /// Service counters plus the extraction fast-path counters accrued on
@@ -182,7 +163,7 @@ class QueryService {
 
   /// Front-end rejection accounting: a server sitting in front of the
   /// service (src/server) counts the requests it bounces before they
-  /// reach Submit, so one MetricsSnapshot covers the whole edge.
+  /// reach Execute, so one MetricsSnapshot covers the whole edge.
   void NoteUnauthorized() { metrics_.AddUnauthorized(); }
   void NoteQuotaRejected() { metrics_.AddQuotaRejected(); }
   void NoteSessionExpired() { metrics_.AddSessionExpired(); }
@@ -192,21 +173,17 @@ class QueryService {
   bool CacheContains(const std::string& key) const {
     return cache_.Contains(key);
   }
-  size_t queue_depth() const { return queue_.Size(); }
-  int num_workers() const { return static_cast<int>(workers_.size()); }
+  SlotAdmission* admission() { return &admission_; }
+  size_t queue_depth() const { return admission_.waiting(); }
+  int num_workers() const { return admission_.num_slots(); }
 
  private:
-  struct Pending {
-    ServiceRequest request;
-    std::shared_ptr<Ticket::State> state;
-  };
+  struct Call;
 
-  void WorkerLoop(int worker_id);
-  /// Serves `pending` on `server`, including the cache probe/fill.
-  Result<ServiceReply> Serve(qbism::MedicalServer* server, int worker_id,
-                             const Pending& pending);
-  void Complete(const std::shared_ptr<Ticket::State>& state,
-                Result<ServiceReply> reply);
+  /// Serves `call` on the MedicalServer of the slot it holds, including
+  /// the cache probe/fill.
+  Result<ServiceReply> Serve(int slot, const Call& call);
+  void Complete(const Call& call, Result<ServiceReply>* reply);
 
   qbism::SpatialExtension* ext_;
   ServiceOptions options_;
@@ -214,9 +191,8 @@ class QueryService {
   ServiceMetrics metrics_;
   std::unique_ptr<TaskPool> extract_pool_;  // may be null (helpers off)
   qbism::ExtractorStatsSnapshot extractor_baseline_;
-  AdmissionQueue<Pending> queue_;
+  SlotAdmission admission_;
   std::vector<std::unique_ptr<qbism::MedicalServer>> servers_;
-  std::vector<std::thread> workers_;
   std::mutex shutdown_mu_;
   bool shut_down_ = false;  // guarded by shutdown_mu_
   uint64_t ingest_listener_token_ = 0;  // set once in the constructor

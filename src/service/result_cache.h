@@ -25,9 +25,9 @@ struct ResultCacheStats {
 };
 
 /// Server-wide shared LRU result cache: the §5.2 per-DX-executive
-/// result cache promoted to a tier shared by every worker, so one
+/// result cache promoted to a tier shared by every slot, so one
 /// client's expensive extraction serves later clients regardless of
-/// which worker they land on. Keyed by the canonicalized
+/// which slot they land on. Keyed by the canonicalized
 /// QuerySpec::Describe() string; values are immutable DATA_REGIONs
 /// behind shared_ptr, so a hit never copies voxels and an eviction
 /// never invalidates a reply already handed out.

@@ -9,89 +9,52 @@ TEST(ChannelTest, ControlMessageCosts) {
   NetworkCostModel model;
   model.per_message_seconds = 0.01;
   model.bandwidth_bytes_per_second = 1000.0;
-  SimulatedChannel channel(model);
-  channel.SendControl(500);
-  EXPECT_EQ(channel.stats().messages, 1u);
-  EXPECT_EQ(channel.stats().bytes, 500u);
-  EXPECT_NEAR(channel.stats().simulated_seconds, 0.01 + 0.5, 1e-12);
+  model.rtt_seconds = 0.0;
+  ModeledTransfer t = ModelTransfer(model, 500, 0);
+  EXPECT_EQ(t.messages, 1u);
+  EXPECT_NEAR(t.seconds, 0.01 + 0.5, 1e-12);
 }
 
 TEST(ChannelTest, BulkChunking) {
   NetworkCostModel model;
   model.chunk_bytes = 1024;
-  SimulatedChannel channel(model);
-  channel.SendBulk(2 * 1024 * 1024);  // the paper's 2 MB study
-  // 2048 data messages, mirroring the paper's ~2103 for Q1.
-  EXPECT_EQ(channel.stats().messages, 2048u);
-  channel.ResetStats();
-  channel.SendBulk(1);
-  EXPECT_EQ(channel.stats().messages, 1u);
-  channel.ResetStats();
-  channel.SendBulk(1025);
-  EXPECT_EQ(channel.stats().messages, 2u);
-  channel.ResetStats();
-  channel.SendBulk(0);
-  EXPECT_EQ(channel.stats().messages, 0u);
-  EXPECT_EQ(channel.stats().simulated_seconds, 0.0);
+  // 2048 data messages for the paper's 2 MB study, mirroring its ~2103
+  // for Q1.
+  EXPECT_EQ(ModelTransfer(model, 0, 2 * 1024 * 1024).messages, 2048u);
+  EXPECT_EQ(ModelTransfer(model, 0, 1).messages, 1u);
+  EXPECT_EQ(ModelTransfer(model, 0, 1025).messages, 2u);
+  ModeledTransfer empty = ModelTransfer(model, 0, 0);
+  EXPECT_EQ(empty.messages, 0u);
+  EXPECT_EQ(empty.seconds, model.rtt_seconds);
+  // A query text plus a 1025-byte answer: one control + two data.
+  EXPECT_EQ(ModelTransfer(model, 40, 1025).messages, 3u);
 }
 
 TEST(ChannelTest, CostScalesWithSize) {
-  SimulatedChannel channel;
-  channel.SendBulk(100000);
-  double small = channel.stats().simulated_seconds;
-  channel.ResetStats();
-  channel.SendBulk(2000000);
-  double large = channel.stats().simulated_seconds;
+  NetworkCostModel model;
+  double small = ModelTransfer(model, 0, 100000).seconds;
+  double large = ModelTransfer(model, 0, 2000000).seconds;
   EXPECT_GT(large, 10 * small);
 }
 
 TEST(ChannelTest, RoundTripAddsRtt) {
   NetworkCostModel model;
   model.rtt_seconds = 0.004;
-  SimulatedChannel channel(model);
-  channel.RoundTrip();
-  channel.RoundTrip();
-  EXPECT_NEAR(channel.stats().simulated_seconds, 0.008, 1e-12);
-  EXPECT_EQ(channel.stats().messages, 0u);
-}
-
-TEST(ChannelTest, StatsDeltaSubtraction) {
-  SimulatedChannel channel;
-  channel.SendBulk(5000);
-  ChannelStats before = channel.stats();
-  channel.SendBulk(3000);
-  ChannelStats delta = channel.stats() - before;
-  EXPECT_EQ(delta.bytes, 3000u);
-  EXPECT_GT(delta.simulated_seconds, 0.0);
-}
-
-TEST(ChannelTest, StatsDeltaSaturatesInsteadOfWrapping) {
-  // Regression: subtracting a larger "before" snapshot (taken prior to
-  // a reset) used to wrap the unsigned counters to ~2^64; the delta
-  // must clamp at zero instead.
-  ChannelStats before{/*messages=*/10, /*bytes=*/5000,
-                      /*simulated_seconds=*/1.0};
-  ChannelStats after{/*messages=*/3, /*bytes=*/200,
-                     /*simulated_seconds=*/0.25};
-  ChannelStats delta = after - before;
-  EXPECT_EQ(delta.messages, 0u);
-  EXPECT_EQ(delta.bytes, 0u);
-  EXPECT_EQ(delta.simulated_seconds, 0.0);
-  // Mixed direction clamps per field, not across fields.
-  ChannelStats mixed{/*messages=*/12, /*bytes=*/100,
-                     /*simulated_seconds=*/2.0};
-  ChannelStats mixed_delta = mixed - before;
-  EXPECT_EQ(mixed_delta.messages, 2u);
-  EXPECT_EQ(mixed_delta.bytes, 0u);
-  EXPECT_NEAR(mixed_delta.simulated_seconds, 1.0, 1e-12);
+  ModeledTransfer t = ModelTransfer(model, 0, 0);
+  EXPECT_NEAR(t.seconds, 0.004, 1e-12);
+  EXPECT_EQ(t.messages, 0u);
+  NetworkCostModel no_rtt = model;
+  no_rtt.rtt_seconds = 0.0;
+  EXPECT_NEAR(ModelTransfer(model, 0, 1000).seconds,
+              ModelTransfer(no_rtt, 0, 1000).seconds + 0.004, 1e-12);
 }
 
 TEST(ChannelTest, DeterministicAcrossInstances) {
-  SimulatedChannel a, b;
-  a.SendBulk(123456);
-  b.SendBulk(123456);
-  EXPECT_EQ(a.stats().simulated_seconds, b.stats().simulated_seconds);
-  EXPECT_EQ(a.stats().messages, b.stats().messages);
+  NetworkCostModel a, b;
+  ModeledTransfer ta = ModelTransfer(a, 77, 123456);
+  ModeledTransfer tb = ModelTransfer(b, 77, 123456);
+  EXPECT_EQ(ta.seconds, tb.seconds);
+  EXPECT_EQ(ta.messages, tb.messages);
 }
 
 }  // namespace

@@ -241,9 +241,15 @@ TEST_F(ServiceTraceTest, FullStudyQueryYieldsOneWellFormedTraceTree) {
   for (Stage expected :
        {Stage::kQueueWait, Stage::kCacheProbe, Stage::kTranslate,
         Stage::kInfo, Stage::kData, Stage::kExtract, Stage::kPlan,
-        Stage::kShard, Stage::kIo, Stage::kShip, Stage::kImport}) {
+        Stage::kShard, Stage::kIo}) {
     EXPECT_TRUE(stages.count(expected) == 1)
         << "missing stage " << StageName(expected);
+  }
+  // The service serves the database half only: the answer copy is part
+  // of kData, nothing is shipped in process, and no DX stage runs.
+  for (Stage absent : {Stage::kShip, Stage::kImport, Stage::kRender}) {
+    EXPECT_EQ(stages.count(absent), 0u)
+        << "unexpected stage " << StageName(absent);
   }
 
   // metrics() surfaces the same aggregation.

@@ -60,15 +60,13 @@ TEST(CodecTest, QueryRoundTripAllFields) {
                                    geometry::Vec3i{10, 11, 12}};
   query.spec.intensity_range = {40, 200};
   query.spec.use_band_index = true;
-  query.spec.allow_cached = false;
-  query.render = true;
+  query.spec.allow_cached = true;  // an in-process hint: not on the wire
   query.deadline_seconds = 2.5;
   auto decoded = DecodeQuery(EncodeQuery(query));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->spec.Describe(), query.spec.Describe());
   EXPECT_EQ(decoded->spec.use_band_index, true);
   EXPECT_EQ(decoded->spec.allow_cached, false);
-  EXPECT_EQ(decoded->render, true);
   EXPECT_EQ(decoded->deadline_seconds, 2.5);
 }
 
@@ -115,11 +113,11 @@ TEST(CodecTest, ResultEndAndErrorRoundTrip) {
   end.payload_bytes = 1 << 20;
   end.chunk_count = 16;
   end.payload_crc = 0xCAFEF00Du;
-  end.modeled_egress_seconds = 0.25;
   auto decoded_end = DecodeResultEnd(EncodeResultEnd(end));
   ASSERT_TRUE(decoded_end.ok());
+  EXPECT_EQ(decoded_end->payload_bytes, end.payload_bytes);
+  EXPECT_EQ(decoded_end->chunk_count, end.chunk_count);
   EXPECT_EQ(decoded_end->payload_crc, end.payload_crc);
-  EXPECT_EQ(decoded_end->modeled_egress_seconds, 0.25);
 
   ErrorReply error;
   error.code = StatusCode::kResourceExhausted;
@@ -210,6 +208,56 @@ TEST(CodecTest, AnswerPayloadRejectsTrailingBytes) {
 
 // Every truncation of a valid answer payload must fail cleanly (the
 // value bytes are a pure suffix, so no strict prefix can decode).
+// Every message type's decoder consumes its whole payload: one appended
+// byte is Corruption, never silently ignored.
+TEST(CodecTest, EveryDecoderRejectsOneAppendedByte) {
+  auto appended = [](std::vector<uint8_t> payload) {
+    payload.push_back(0x00);
+    return payload;
+  };
+  HelloRequest hello;
+  hello.tenant = "t";
+  hello.secret = "s";
+  EXPECT_TRUE(DecodeHello(EncodeHello(hello)).ok());
+  EXPECT_TRUE(DecodeHello(appended(EncodeHello(hello))).status()
+                  .IsCorruption());
+
+  WelcomeReply welcome;
+  EXPECT_TRUE(DecodeWelcome(EncodeWelcome(welcome)).ok());
+  EXPECT_TRUE(DecodeWelcome(appended(EncodeWelcome(welcome))).status()
+                  .IsCorruption());
+
+  QueryRequest query;
+  query.spec.study_id = 1;
+  EXPECT_TRUE(DecodeQuery(EncodeQuery(query)).ok());
+  EXPECT_TRUE(DecodeQuery(appended(EncodeQuery(query))).status()
+                  .IsCorruption());
+
+  ResultHeader header;
+  header.data_sql = "select";
+  EXPECT_TRUE(DecodeResultHeader(EncodeResultHeader(header)).ok());
+  EXPECT_TRUE(DecodeResultHeader(appended(EncodeResultHeader(header)))
+                  .status()
+                  .IsCorruption());
+
+  ResultEnd end;
+  EXPECT_TRUE(DecodeResultEnd(EncodeResultEnd(end)).ok());
+  EXPECT_TRUE(DecodeResultEnd(appended(EncodeResultEnd(end))).status()
+                  .IsCorruption());
+
+  ErrorReply error;
+  error.code = StatusCode::kNotFound;
+  error.reason = ErrorReason::kQueryFailed;
+  EXPECT_TRUE(DecodeError(EncodeError(error)).ok());
+  EXPECT_TRUE(DecodeError(appended(EncodeError(error))).status()
+                  .IsCorruption());
+
+  auto answer = EncodeAnswerPayload(MakeTestRegion(9));
+  ASSERT_TRUE(answer.ok());
+  EXPECT_TRUE(DecodeAnswerPayload(*answer).ok());
+  EXPECT_TRUE(DecodeAnswerPayload(appended(*answer)).status().IsCorruption());
+}
+
 TEST(CodecAdversarialTest, TruncatedAnswerPayloadNeverDecodes) {
   auto payload = EncodeAnswerPayload(MakeTestRegion(7));
   ASSERT_TRUE(payload.ok());

@@ -208,13 +208,15 @@ TEST_F(ServerTest, QuotaBouncesArePenaltyPaced) {
 
   // Hold the tenant's only slot, then park one query so the waiting
   // line is full: every further query must bounce as quota_rejected.
-  auto held = server.governor()->Admit(0);
+  auto held = server.service()->admission()->Acquire(0);
   ASSERT_TRUE(held.ok());
   auto waiter = NetClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(waiter.ok());
   ASSERT_TRUE(waiter->Login("clinic", "clinic-secret").ok());
   std::thread parked([&] { (void)waiter->RunQuery(StructureSpec()); });
-  WaitUntil([&] { return server.governor()->tenant_stats(0).waiting == 1; });
+  WaitUntil([&] {
+    return server.service()->admission()->tenant_stats(0).waiting == 1;
+  });
 
   // A zero-think-time retry loop is paced to ~1/penalty per second:
   // each bounce's reply is delayed by the full penalty.
@@ -349,7 +351,7 @@ TEST_F(ServerTest, TraceStitchesAcceptToShip) {
   server.Shutdown();
 
   // One trace per wire request: the kRequest root with accept, decode,
-  // admit, the service's kQuery subtree, and ship all under it.
+  // the service's kQuery subtree (slot wait first), and ship under it.
   std::vector<obs::SpanRecord> spans = tracer.Spans();
   uint64_t trace_id = 0, request_span = 0;
   for (const auto& span : spans) {
@@ -359,44 +361,93 @@ TEST_F(ServerTest, TraceStitchesAcceptToShip) {
     }
   }
   ASSERT_NE(request_span, 0u);
-  bool saw_accept = false, saw_decode = false, saw_admit = false,
-       saw_query = false, saw_ship = false;
+  bool saw_accept = false, saw_decode = false, saw_query = false,
+       saw_ship = false;
+  uint64_t query_span = 0;
   uint64_t ship_bytes = 0;
+  int ship_spans = 0;
   for (const auto& span : spans) {
     if (span.trace_id != trace_id) continue;
+    if (span.stage == obs::Stage::kShip) ++ship_spans;
     if (span.parent_id == request_span) {
       if (span.stage == obs::Stage::kAccept) saw_accept = true;
       if (span.stage == obs::Stage::kDecode) saw_decode = true;
-      if (span.stage == obs::Stage::kAdmit) saw_admit = true;
-      if (span.stage == obs::Stage::kQuery) saw_query = true;
+      if (span.stage == obs::Stage::kQuery) {
+        saw_query = true;
+        query_span = span.span_id;
+      }
       if (span.stage == obs::Stage::kShip) {
         saw_ship = true;
         ship_bytes = span.bytes;
       }
     }
   }
+  bool saw_slot_wait = false;
+  for (const auto& span : spans) {
+    if (span.trace_id == trace_id && span.parent_id == query_span &&
+        span.stage == obs::Stage::kQueueWait) {
+      saw_slot_wait = true;
+    }
+  }
   EXPECT_TRUE(saw_accept);
   EXPECT_TRUE(saw_decode);
-  EXPECT_TRUE(saw_admit);
   EXPECT_TRUE(saw_query);
+  EXPECT_TRUE(saw_slot_wait);
   EXPECT_TRUE(saw_ship);
-  // The traced ship span carries exactly the codec's accounting.
+  // kShip is the socket write only, and carries exactly the codec's
+  // accounting.
+  EXPECT_EQ(ship_spans, 1);
   EXPECT_EQ(ship_bytes, outcome->header.payload_bytes);
 }
 
-TEST_F(ServerTest, EgressShapingAccumulatesModeledSeconds) {
+// Caps derived with max(1, ...) sum past the slot count here (four
+// tenants, one cap each, two slots): admitted queries wait for a slot
+// and all complete — none bounces as server_busy.
+TEST_F(ServerTest, CapsAboveWorkerCountNeverBounceAdmittedQueries) {
   ServerOptions options = BaseOptions();
-  options.shape_egress = true;
-  options.egress_model.rtt_seconds = 0.001;
+  options.tenants.clear();
+  for (int t = 0; t < 4; ++t) {
+    TenantConfig tenant;
+    tenant.name = "t" + std::to_string(t);
+    tenant.secret = tenant.name + "-secret";
+    options.tenants.push_back(tenant);
+  }
+  options.service.num_workers = 2;
   QbismServer server(ext_, options);
   ASSERT_TRUE(server.Start().ok());
-  auto client = NetClient::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client->Login("clinic", "clinic-secret").ok());
-  auto outcome = client->RunQuery(StructureSpec());
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_GT(outcome->modeled_egress_seconds, 0.0);
-  EXPECT_GT(server.stats().modeled_egress_seconds, 0.0);
+  int cap_sum = 0;
+  for (int t = 0; t < 4; ++t) {
+    cap_sum += server.service()->admission()->slot_cap(t);
+  }
+  ASSERT_GT(cap_sum, server.service()->num_workers());
+
+  std::atomic<int> failures{0};
+  std::atomic<int> busy{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 4; ++t) {
+    clients.emplace_back([&, t] {
+      std::string name = "t" + std::to_string(t);
+      auto client = NetClient::Connect("127.0.0.1", server.port());
+      if (!client.ok() || !client->Login(name, name + "-secret").ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (int q = 0; q < 4; ++q) {
+        if (!client->RunQuery(StructureSpec()).ok()) {
+          failures.fetch_add(1);
+          if (client->last_error_reason() == ErrorReason::kServerBusy) {
+            busy.fetch_add(1);
+          }
+        }
+      }
+      client->Bye();
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(busy.load(), 0);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(server.stats().queries_ok, 16u);
+  EXPECT_EQ(server.metrics().rejected_queue_full, 0u);
   server.Shutdown();
 }
 

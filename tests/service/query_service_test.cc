@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "med/loader.h"
@@ -12,6 +15,13 @@
 
 namespace qbism::service {
 namespace {
+
+void WaitUntil(const std::function<bool()>& pred) {
+  for (int i = 0; i < 5000 && !pred(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(pred());
+}
 
 /// One shared loaded database for all service tests; the service treats
 /// it as read-only, so suites can share it the way the MedicalServer
@@ -76,21 +86,28 @@ TEST_F(QueryServiceTest, ConcurrentMixedWorkloadMatchesSerialExecution) {
     expected.emplace(spec.Describe(), result.MoveValue());
   }
 
+  // Four caller threads share four slots; each request runs on the
+  // thread that issued it.
   QueryService service(ext_, FastOptions(4));
-  std::vector<Ticket> tickets;
-  for (const QuerySpec& spec : specs) {
-    ServiceRequest request;
-    request.spec = spec;
-    auto ticket = service.Submit(request);
-    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
-    tickets.push_back(ticket.MoveValue());
+  std::vector<Result<ServiceReply>> replies(specs.size(),
+                                            Status::Internal("not run"));
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < 4; ++c) {
+    callers.emplace_back([&, c] {
+      for (size_t i = c; i < specs.size(); i += 4) {
+        ServiceRequest request;
+        request.spec = specs[i];
+        replies[i] = service.Execute(request);
+      }
+    });
   }
-  for (size_t i = 0; i < tickets.size(); ++i) {
-    auto reply = tickets[i].Wait();
+  for (std::thread& caller : callers) caller.join();
+  for (size_t i = 0; i < replies.size(); ++i) {
+    const Result<ServiceReply>& reply = replies[i];
     ASSERT_TRUE(reply.ok()) << specs[i].Describe() << ": "
                             << reply.status().ToString();
     const StudyQueryResult& truth = expected.at(specs[i].Describe());
-    // Bit-identical payload regardless of worker, ordering, or whether
+    // Bit-identical payload regardless of slot, ordering, or whether
     // the shared cache served it.
     EXPECT_EQ(reply->result.data.values(), truth.data.values());
     EXPECT_EQ(reply->result.result_voxels, truth.result_voxels);
@@ -103,6 +120,8 @@ TEST_F(QueryServiceTest, ConcurrentMixedWorkloadMatchesSerialExecution) {
       EXPECT_EQ(reply->result.timing.network_messages,
                 truth.timing.network_messages);
     }
+    // The served path is the database half only: no DX import.
+    EXPECT_EQ(reply->result.timing.import_cpu_seconds, 0.0);
   }
   MetricsSnapshot metrics = service.metrics();
   EXPECT_EQ(metrics.submitted, specs.size());
@@ -160,43 +179,99 @@ TEST_F(QueryServiceTest, CacheOffAlwaysExecutes) {
 }
 
 TEST_F(QueryServiceTest, FullQueueRejectsWithResourceExhausted) {
-  // Zero workers: nothing drains, so admission control is deterministic.
+  // Zero slots: nothing is ever granted, so admission control is
+  // deterministic.
   ServiceOptions options = FastOptions(0);
   options.queue_capacity = 2;
   QueryService service(ext_, options);
   ServiceRequest request;
   request.spec.study_id = (*study_ids_)[0];
 
-  auto first = service.Submit(request);
-  auto second = service.Submit(request);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(service.queue_depth(), 2u);
+  std::vector<Result<ServiceReply>> parked(2, Status::Internal("not run"));
+  std::vector<std::thread> callers;
+  for (size_t i = 0; i < parked.size(); ++i) {
+    callers.emplace_back([&, i] { parked[i] = service.Execute(request); });
+  }
+  WaitUntil([&] { return service.queue_depth() == 2u; });
 
-  auto third = service.Submit(request);
+  auto third = service.Execute(request);
   ASSERT_FALSE(third.ok());
   EXPECT_TRUE(third.status().IsResourceExhausted())
       << third.status().ToString();
+  EXPECT_FALSE(SlotAdmission::IsQuotaRejection(third.status()));
   EXPECT_EQ(service.metrics().rejected_queue_full, 1u);
-  EXPECT_FALSE(first->Done());
+  EXPECT_EQ(service.metrics().quota_rejected, 0u);
 
-  // Shutdown fails the queued work fast rather than abandoning callers.
+  // Shutdown fails the waiting work fast rather than abandoning callers.
   service.Shutdown();
-  auto reply = first->Wait();
-  EXPECT_TRUE(reply.status().IsCancelled()) << reply.status().ToString();
-  EXPECT_TRUE(second->Wait().status().IsCancelled());
+  for (std::thread& caller : callers) caller.join();
+  for (const Result<ServiceReply>& reply : parked) {
+    EXPECT_TRUE(reply.status().IsCancelled()) << reply.status().ToString();
+  }
   EXPECT_EQ(service.metrics().cancelled, 2u);
 
-  // And post-shutdown submissions are turned away immediately.
-  EXPECT_TRUE(service.Submit(request).status().IsCancelled());
+  // And post-shutdown requests are turned away immediately.
+  EXPECT_TRUE(service.Execute(request).status().IsCancelled());
+}
+
+TEST_F(QueryServiceTest, DeadlineExpiresWhileWaitingForASlot) {
+  QueryService service(ext_, FastOptions(1));
+  // Hold the only slot so the request has to wait for it.
+  auto held = service.admission()->Acquire(0);
+  ASSERT_TRUE(held.ok());
+  ServiceRequest request;
+  request.spec.study_id = (*study_ids_)[0];
+  request.deadline_seconds = 0.02;
+  auto reply = service.Execute(request);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_TRUE(reply.status().IsDeadlineExceeded())
+      << reply.status().ToString();
+  held->Release();
+  MetricsSnapshot metrics = service.metrics();
+  EXPECT_EQ(metrics.deadline_expired, 1u);
+  EXPECT_EQ(metrics.completed, 0u);
+  EXPECT_EQ(metrics.cache_misses, 0u);  // never reached the cache probe
+  EXPECT_GE(metrics.queue_wait.max, 0.02);
+  // The slot is free again and serves the next request normally.
+  request.deadline_seconds = 0.0;
+  EXPECT_TRUE(service.Execute(request).ok());
+}
+
+TEST_F(QueryServiceTest, TenantQuotaRejectsBeyondItsWaitingLine) {
+  TenantShare tenant;
+  tenant.max_inflight = 1;
+  tenant.max_waiting = 1;
+  QueryService service(ext_, FastOptions(2), {tenant, TenantShare{}});
+  auto held = service.admission()->Acquire(0);
+  ASSERT_TRUE(held.ok());
+  ServiceRequest request;
+  request.spec.study_id = (*study_ids_)[0];
+  request.spec.intensity_range = {224, 255};
+  Result<ServiceReply> parked = Status::Internal("not run");
+  std::thread waiter([&] { parked = service.Execute(request); });
+  WaitUntil([&] { return service.queue_depth() == 1u; });
+
+  auto bounced = service.Execute(request);
+  EXPECT_TRUE(SlotAdmission::IsQuotaRejection(bounced.status()))
+      << bounced.status().ToString();
+  EXPECT_EQ(service.metrics().quota_rejected, 1u);
+  // The other tenant's slot is untouched by tenant 0's surplus.
+  ServiceRequest other = request;
+  other.tenant = 1;
+  EXPECT_TRUE(service.Execute(other).ok());
+
+  held->Release();
+  waiter.join();
+  EXPECT_TRUE(parked.ok()) << parked.status().ToString();
+  EXPECT_EQ(service.metrics().rejected_queue_full, 0u);
 }
 
 TEST_F(QueryServiceTest, ExpiredDeadlineSkipsExecution) {
   QueryService service(ext_, FastOptions(1));
   ServiceRequest request;
   request.spec.study_id = (*study_ids_)[0];
-  // A deadline below the clock tick expires at admission time, so the
-  // worker must refuse it at pickup without touching the database.
+  // A deadline below the clock tick has expired by the time the slot is
+  // granted, so the request is refused without touching the database.
   request.deadline_seconds = 1e-12;
   auto reply = service.Execute(request);
   ASSERT_FALSE(reply.ok());
@@ -208,42 +283,7 @@ TEST_F(QueryServiceTest, ExpiredDeadlineSkipsExecution) {
   EXPECT_EQ(metrics.cache_misses, 0u);  // never reached the cache probe
 }
 
-TEST_F(QueryServiceTest, CancelledTicketsAreReportedCancelled) {
-  QueryService service(ext_, FastOptions(1));
-  // A full-study blocker occupies the lone worker while we cancel the
-  // queue behind it.
-  ServiceRequest blocker;
-  blocker.spec.study_id = (*study_ids_)[0];
-  auto blocker_ticket = service.Submit(blocker);
-  ASSERT_TRUE(blocker_ticket.ok());
-
-  ServiceRequest request;
-  request.spec.study_id = (*study_ids_)[0];
-  request.spec.intensity_range = {224, 255};
-  std::vector<Ticket> tickets;
-  for (int i = 0; i < 5; ++i) {
-    auto ticket = service.Submit(request);
-    ASSERT_TRUE(ticket.ok());
-    tickets.push_back(ticket.MoveValue());
-  }
-  for (Ticket& ticket : tickets) ticket.Cancel();
-
-  EXPECT_TRUE(blocker_ticket->Wait().ok());
-  uint64_t cancelled = 0;
-  for (Ticket& ticket : tickets) {
-    auto reply = ticket.Wait();
-    if (reply.ok()) continue;  // won the race to a worker before Cancel
-    EXPECT_TRUE(reply.status().IsCancelled()) << reply.status().ToString();
-    ++cancelled;
-  }
-  EXPECT_GE(cancelled, 1u);  // the blocker pinned the worker long enough
-  MetricsSnapshot metrics = service.metrics();
-  EXPECT_EQ(metrics.cancelled, cancelled);
-  EXPECT_EQ(metrics.completed + metrics.cancelled, 6u);
-  service.Shutdown();
-}
-
-TEST_F(QueryServiceTest, ShutdownIsIdempotentAndTicketsStayValid) {
+TEST_F(QueryServiceTest, ShutdownIsIdempotentAndLaterRequestsAreCancelled) {
   QueryService service(ext_, FastOptions(2));
   ServiceRequest request;
   request.spec.study_id = (*study_ids_)[0];
@@ -253,8 +293,7 @@ TEST_F(QueryServiceTest, ShutdownIsIdempotentAndTicketsStayValid) {
   service.Shutdown();
   service.Shutdown();  // second call is a no-op
   EXPECT_EQ(service.metrics().completed, 1u);
-  EXPECT_FALSE(Ticket{}.Valid());
-  EXPECT_TRUE(Ticket{}.Wait().status().IsInvalidArgument());
+  EXPECT_TRUE(service.Execute(request).status().IsCancelled());
 }
 
 TEST_F(QueryServiceTest, WorkloadGeneratorIsDeterministicAndWellFormed) {
