@@ -101,8 +101,7 @@ ClassResult RunClass(SpatialExtension* ext, Tracer* tracer,
   for (Stage stage : kDirectStages) {
     out.direct_seconds += StageTotal(out.stages, stage);
   }
-  out.metrics_seconds = metrics.latency.mean *
-                        static_cast<double>(metrics.latency.count);
+  out.metrics_seconds = metrics.latency.total_seconds;
   out.coverage = out.metrics_seconds > 0.0
                      ? out.direct_seconds / out.metrics_seconds
                      : 0.0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -96,9 +95,9 @@ StageSummary StageHistogram::Summarize(Stage stage) const {
     counts[i] = buckets_[i].load(std::memory_order_relaxed);
     total += counts[i];
   }
-  // Percentile: walk the cumulative histogram; report the geometric
-  // midpoint of the bucket the rank lands in (within 41% of the true
-  // value by construction of power-of-two buckets).
+  // Percentile: walk the cumulative histogram to the bucket holding the
+  // rank-th smallest sample and report that bucket's midpoint (within
+  // 1/16 of every duration in it), capped at the exact max.
   auto percentile = [&](double p) -> double {
     uint64_t rank = static_cast<uint64_t>(
         p * static_cast<double>(total > 0 ? total - 1 : 0));
@@ -106,14 +105,16 @@ StageSummary StageHistogram::Summarize(Stage stage) const {
     for (int i = 0; i < kBuckets; ++i) {
       seen += counts[i];
       if (seen > rank) {
-        return std::ldexp(1.0, i) * 1.4142135623730951 * 1e-9;
+        double lo = static_cast<double>(BucketLowerBound(i));
+        double hi = static_cast<double>(BucketLowerBound(i + 1));
+        return std::min(0.5 * (lo + hi) * 1e-9, out.max_seconds);
       }
     }
     return out.max_seconds;
   };
-  out.p50 = std::min(percentile(0.50), out.max_seconds);
-  out.p95 = std::min(percentile(0.95), out.max_seconds);
-  out.p99 = std::min(percentile(0.99), out.max_seconds);
+  out.p50 = percentile(0.50);
+  out.p95 = percentile(0.95);
+  out.p99 = percentile(0.99);
   return out;
 }
 
@@ -138,8 +139,7 @@ double Tracer::NowSeconds() const { return SteadySeconds() - epoch_seconds_; }
 
 void Tracer::Record(const SpanRecord& record) {
   auto& hist = histograms_[static_cast<int>(record.stage)];
-  hist.Record(static_cast<uint64_t>(
-      std::max(0.0, record.duration_seconds) * 1e9));
+  hist.RecordSeconds(record.duration_seconds);
   hist.AddPayload(record.pages, record.bytes);
   recorded_.fetch_add(1, std::memory_order_relaxed);
 

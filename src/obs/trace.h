@@ -1,6 +1,7 @@
 #ifndef QBISM_OBS_TRACE_H_
 #define QBISM_OBS_TRACE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -22,7 +23,7 @@ namespace qbism::obs {
 /// reference for what each stage covers.
 enum class Stage : uint8_t {
   kQuery = 0,   // whole request, admission -> reply (root span)
-  kQueueWait,   // admission queue residence (recorded retroactively)
+  kQueueWait,   // wait for a service slot (recorded retroactively)
   kCacheProbe,  // shared result-cache probe (hit or miss)
   kTranslate,   // QuerySpec -> the two §3.4 SQL statements
   kInfo,        // the atlas/info query (the paper's "other" phase)
@@ -30,7 +31,7 @@ enum class Stage : uint8_t {
   kPlan,        // LFM read planning (PlanRead / BuildReadPlan)
   kIo,          // device page transfers (LFM reads, any thread)
   kDecode,      // REGION / DATA_REGION gamma-decode + unmarshalling
-  kShip,        // network shipping over the simulated channel
+  kShip,        // answer frames written to the client socket
   kImport,      // DX executive ImportVolume
   kRender,      // DX executive rendering
   kExtract,     // one vectored EXTRACT_DATA execution
@@ -40,7 +41,7 @@ enum class Stage : uint8_t {
   kIoWait,      // realized modeled I/O+network wait (io_wait_scale)
   kRequest,     // one wire request on the socket server (root span)
   kAccept,      // reading the request frame off the socket
-  kAdmit,       // tenant fair-share admission wait (socket server)
+  kAdmit,       // never recorded; kept for perfbench, which names it
   kIngest,      // one online study ingest (warp + band + store, logged)
   kWalSync,     // write-ahead-log page flush (the commit fsync)
   kVacuum,      // reclamation of dead long-field extents
@@ -104,7 +105,8 @@ struct SpanRecord {
 };
 
 /// Aggregated view of one stage's histogram (percentiles are estimated
-/// from power-of-two latency buckets; count/total/max are exact).
+/// from log-linear latency buckets to within 1/16; count/total/max are
+/// exact).
 struct StageSummary {
   Stage stage = Stage::kQuery;
   uint64_t count = 0;
@@ -124,13 +126,21 @@ struct TracerOptions {
   bool enabled = true;
 };
 
-/// Lock-free per-stage latency histogram: power-of-two nanosecond
-/// buckets (bucket i holds durations in [2^i, 2^{i+1}) ns) plus exact
-/// count / total / max, all relaxed atomics — recording from many
-/// threads never takes a lock.
+/// Lock-free latency histogram, the library's one latency
+/// distribution (tracer stages, service latency and queue wait,
+/// per-tenant wire latency). Log-linear nanosecond buckets in the
+/// HdrHistogram style: durations below 8 ns get one bucket each; every
+/// power-of-two octave [2^e, 2^{e+1}) above that is split into 8 equal
+/// sub-buckets, so a bucket is at most 1/8 of its lower bound wide and
+/// its midpoint is within 1/16 of any duration in it. Count / total /
+/// max are exact. All relaxed atomics: recording from many threads
+/// never takes a lock.
 class StageHistogram {
  public:
-  static constexpr int kBuckets = 48;  // 2^48 ns ~ 78 hours
+  static constexpr int kSubBits = 3;  // 8 sub-buckets per octave
+  static constexpr int kSubBuckets = 1 << kSubBits;
+  static constexpr int kTopOctave = 47;  // up to 2^48 ns ~ 78 hours
+  static constexpr int kBuckets = (kTopOctave - kSubBits + 2) * kSubBuckets;
 
   void Record(uint64_t nanos) {
     count_.fetch_add(1, std::memory_order_relaxed);
@@ -140,6 +150,12 @@ class StageHistogram {
     while (nanos > prev && !max_nanos_.compare_exchange_weak(
                                prev, nanos, std::memory_order_relaxed)) {
     }
+  }
+
+  /// Record() for a duration in seconds, rounded to the nanosecond
+  /// (negative clamps to zero).
+  void RecordSeconds(double seconds) {
+    Record(static_cast<uint64_t>(std::max(0.0, seconds) * 1e9 + 0.5));
   }
 
   void AddPayload(uint64_t pages, uint64_t bytes) {
@@ -155,9 +171,24 @@ class StageHistogram {
   /// Not thread-safe against concurrent Record; quiesce first.
   void Reset();
 
+  /// Bucket index of a duration; past the top octave, the last bucket.
   static int BucketOf(uint64_t nanos) {
-    int b = nanos == 0 ? 0 : 63 - std::countl_zero(nanos);
-    return b >= kBuckets ? kBuckets - 1 : b;
+    if (nanos < kSubBuckets) return static_cast<int>(nanos);
+    int octave = 63 - std::countl_zero(nanos);
+    if (octave > kTopOctave) return kBuckets - 1;
+    // The top kSubBits + 1 bits are 1sss: the octave's leading one and
+    // the sub-bucket.
+    int top = static_cast<int>(nanos >> (octave - kSubBits));
+    return (octave - kSubBits) * kSubBuckets + top;
+  }
+
+  /// Smallest duration (ns) that lands in `bucket`; bucket b covers
+  /// [BucketLowerBound(b), BucketLowerBound(b + 1)).
+  static uint64_t BucketLowerBound(int bucket) {
+    if (bucket < kSubBuckets) return static_cast<uint64_t>(bucket);
+    int octave = bucket / kSubBuckets + kSubBits - 1;
+    uint64_t top = static_cast<uint64_t>(kSubBuckets + bucket % kSubBuckets);
+    return top << (octave - kSubBits);
   }
 
  private:

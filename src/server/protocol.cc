@@ -1,5 +1,6 @@
 #include "server/protocol.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -68,20 +69,33 @@ const char* ErrorReasonName(ErrorReason reason) {
   return "unknown";
 }
 
+std::array<uint8_t, kHeaderBytes> EncodeFrameHeader(
+    MessageType type, uint64_t session, uint64_t request_id,
+    std::span<const uint8_t> payload) {
+  std::array<uint8_t, kHeaderBytes> out{};
+  uint8_t* p = out.data();
+  auto put = [&p](uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) *p++ = static_cast<uint8_t>(v >> (8 * i));
+  };
+  put(kMagic, 4);
+  put(kProtocolVersion, 2);
+  put(static_cast<uint16_t>(type), 2);
+  put(0, 4);  // flags (reserved)
+  put(session, 8);
+  put(request_id, 8);
+  put(payload.size(), 4);
+  put(Crc32(payload.data(), payload.size()), 4);
+  return out;
+}
+
 std::vector<uint8_t> EncodeFrame(MessageType type, uint64_t session,
                                  uint64_t request_id,
                                  const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> out;
-  out.reserve(kHeaderBytes + payload.size());
-  StoreU32(&out, kMagic);
-  StoreU16(&out, kProtocolVersion);
-  StoreU16(&out, static_cast<uint16_t>(type));
-  StoreU32(&out, 0);  // flags (reserved)
-  StoreU64(&out, session);
-  StoreU64(&out, request_id);
-  StoreU32(&out, static_cast<uint32_t>(payload.size()));
-  StoreU32(&out, Crc32(payload));
-  out.insert(out.end(), payload.begin(), payload.end());
+  std::array<uint8_t, kHeaderBytes> header =
+      EncodeFrameHeader(type, session, request_id, payload);
+  std::vector<uint8_t> out(kHeaderBytes + payload.size());
+  std::copy(header.begin(), header.end(), out.begin());
+  std::copy(payload.begin(), payload.end(), out.begin() + kHeaderBytes);
   return out;
 }
 

@@ -1,7 +1,9 @@
 #ifndef QBISM_SERVER_PROTOCOL_H_
 #define QBISM_SERVER_PROTOCOL_H_
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,8 +92,15 @@ struct Frame {
 /// write-ahead log's record framing (common/crc32.h).
 using qbism::Crc32;
 
-/// Serializes header + payload into one contiguous buffer ready for
-/// send(); fills in magic, payload length, and CRC.
+/// The 36-byte header of the frame carrying `payload`: magic, version,
+/// type, ids, payload length and payload CRC. A sender can write it
+/// and the payload as two pieces without joining them first.
+std::array<uint8_t, kHeaderBytes> EncodeFrameHeader(
+    MessageType type, uint64_t session, uint64_t request_id,
+    std::span<const uint8_t> payload);
+
+/// Serializes header + payload into one contiguous buffer (the
+/// reference encoding the protocol tests frame and parse).
 std::vector<uint8_t> EncodeFrame(MessageType type, uint64_t session,
                                  uint64_t request_id,
                                  const std::vector<uint8_t>& payload);

@@ -134,7 +134,7 @@ void QbismServer::ReapFinished() {
 
 Status QbismServer::SendCounted(Connection* conn, MessageType type,
                                 uint64_t session, uint64_t request_id,
-                                const std::vector<uint8_t>& payload) {
+                                std::span<const uint8_t> payload) {
   Status status = conn->socket.SendFrame(type, session, request_id, payload);
   if (status.ok()) {
     frames_written_.fetch_add(1, std::memory_order_relaxed);
@@ -337,7 +337,6 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
       return SendError(conn, header.request_id, ErrorReason::kQuotaRejected,
                        reply.status());
     }
-    queries_failed_.fetch_add(1, std::memory_order_relaxed);
     ErrorReason reason = reply.status().IsResourceExhausted()
                              ? ErrorReason::kServerBusy
                          : reply.status().IsCancelled()
@@ -351,7 +350,6 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
   Result<std::vector<uint8_t>> payload =
       EncodeAnswerPayload(reply->result.data, ext_->config().region_encoding);
   if (!payload.ok()) {
-    queries_failed_.fetch_add(1, std::memory_order_relaxed);
     tstats->queries_failed.fetch_add(1, std::memory_order_relaxed);
     request_span.SetFailed();
     return SendError(conn, header.request_id, ErrorReason::kQueryFailed,
@@ -381,20 +379,17 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
   bool sent = SendCounted(conn, MessageType::kResultHeader, header.session,
                           header.request_id, EncodeResultHeader(rh))
                   .ok();
+  const std::span<const uint8_t> answer(*payload);
   for (uint64_t off = 0; sent && off < total; off += chunk_bytes) {
     uint64_t n = std::min<uint64_t>(chunk_bytes, total - off);
-    std::vector<uint8_t> chunk(payload->begin() + static_cast<ptrdiff_t>(off),
-                               payload->begin() +
-                                   static_cast<ptrdiff_t>(off + n));
     sent = SendCounted(conn, MessageType::kResultChunk, header.session,
-                       header.request_id, chunk)
+                       header.request_id, answer.subspan(off, n))
                .ok();
   }
   ship.AddBytes(total);
   if (!sent) {
     ship.SetFailed();
     request_span.SetFailed();
-    queries_failed_.fetch_add(1, std::memory_order_relaxed);
     tstats->queries_failed.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -404,11 +399,9 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
   // is guaranteed to see these counters too. A trailer-only send
   // failure below still severs the connection, but the answer was
   // fully shipped — it is not a query failure.
-  ship_bytes_.fetch_add(total, std::memory_order_relaxed);
   tstats->ship_bytes.fetch_add(total, std::memory_order_relaxed);
-  queries_ok_.fetch_add(1, std::memory_order_relaxed);
   tstats->queries_ok.fetch_add(1, std::memory_order_relaxed);
-  tstats->latency.Record(read_seconds + request_timer.Seconds());
+  tstats->latency.RecordSeconds(read_seconds + request_timer.Seconds());
 
   ResultEnd re;
   re.payload_bytes = total;
@@ -466,10 +459,12 @@ ServerStats QbismServer::stats() const {
   out.frames_written = frames_written_.load(std::memory_order_relaxed);
   out.bytes_read = bytes_read_.load(std::memory_order_relaxed);
   out.bytes_written = bytes_written_.load(std::memory_order_relaxed);
-  out.ship_bytes = ship_bytes_.load(std::memory_order_relaxed);
   out.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  out.queries_ok = queries_ok_.load(std::memory_order_relaxed);
-  out.queries_failed = queries_failed_.load(std::memory_order_relaxed);
+  for (const auto& t : per_tenant_) {
+    out.queries_ok += t->queries_ok.load(std::memory_order_relaxed);
+    out.queries_failed += t->queries_failed.load(std::memory_order_relaxed);
+    out.ship_bytes += t->ship_bytes.load(std::memory_order_relaxed);
+  }
   out.quota_penalties = quota_penalties_.load(std::memory_order_relaxed);
   out.quota_penalty_seconds =
       quota_penalty_seconds_.load(std::memory_order_relaxed);
@@ -483,7 +478,7 @@ TenantWireStats QbismServer::tenant_stats(int tenant) const {
   out.queries_ok = t.queries_ok.load(std::memory_order_relaxed);
   out.queries_failed = t.queries_failed.load(std::memory_order_relaxed);
   out.ship_bytes = t.ship_bytes.load(std::memory_order_relaxed);
-  out.latency = t.latency.Summarize();
+  out.latency = t.latency.Summarize(obs::Stage::kRequest);
   if (service_ != nullptr) {
     out.admission = service_->admission()->tenant_stats(tenant);
   }

@@ -6,6 +6,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,6 +65,9 @@ struct ServerStats {
   /// sent). E19 cross-checks this against client-side receipts.
   uint64_t ship_bytes = 0;
   uint64_t protocol_errors = 0;  // bad frames / payloads / CRC
+  /// Authenticated query requests answered in full / not answered
+  /// (quota bounces, service failures, encode or send failures). These
+  /// and ship_bytes are the sums of the per-tenant counters.
   uint64_t queries_ok = 0;
   uint64_t queries_failed = 0;
   /// Quota rejections that were penalty-delayed, and the total delay
@@ -78,7 +82,7 @@ struct TenantWireStats {
   uint64_t queries_ok = 0;
   uint64_t queries_failed = 0;
   uint64_t ship_bytes = 0;
-  service::LatencySummary latency;  // request read -> last byte shipped
+  obs::StageSummary latency;  // request read -> last chunk shipped (kRequest)
   service::TenantAdmissionStats admission;
 };
 
@@ -140,7 +144,7 @@ class QbismServer {
     std::atomic<uint64_t> queries_ok{0};
     std::atomic<uint64_t> queries_failed{0};
     std::atomic<uint64_t> ship_bytes{0};
-    service::LatencyRecorder latency;
+    obs::StageHistogram latency;
   };
 
   void AcceptLoop();
@@ -155,7 +159,7 @@ class QbismServer {
   /// before its rejection reply goes out (no-op when disabled/stopping).
   void PenalizeQuota();
   Status SendCounted(Connection* conn, MessageType type, uint64_t session,
-                     uint64_t request_id, const std::vector<uint8_t>& payload);
+                     uint64_t request_id, std::span<const uint8_t> payload);
   void ReapFinished();
 
   qbism::SpatialExtension* ext_;
@@ -182,10 +186,7 @@ class QbismServer {
   std::atomic<uint64_t> frames_written_{0};
   std::atomic<uint64_t> bytes_read_{0};
   std::atomic<uint64_t> bytes_written_{0};
-  std::atomic<uint64_t> ship_bytes_{0};
   std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> queries_ok_{0};
-  std::atomic<uint64_t> queries_failed_{0};
   std::atomic<uint64_t> quota_penalties_{0};
   std::atomic<double> quota_penalty_seconds_{0.0};
 };

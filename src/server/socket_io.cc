@@ -21,15 +21,26 @@ FrameSocket& FrameSocket::operator=(FrameSocket&& other) noexcept {
   return *this;
 }
 
-Status FrameSocket::WriteAll(const uint8_t* data, size_t size) {
-  size_t sent = 0;
-  while (sent < size) {
-    ssize_t n = ::send(fd_, data + sent, size - sent, MSG_NOSIGNAL);
+Status FrameSocket::WriteAll(iovec* iov, int count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<size_t>(count);
+    ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IOError(std::string("send: ") + std::strerror(errno));
     }
-    sent += static_cast<size_t>(n);
+    size_t sent = static_cast<size_t>(n);
+    while (count > 0 && sent >= iov->iov_len) {
+      sent -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + sent;
+      iov->iov_len -= sent;
+    }
   }
   return Status::OK();
 }
@@ -57,10 +68,14 @@ Status FrameSocket::ReadAll(uint8_t* data, size_t size, bool eof_ok) {
 
 Status FrameSocket::SendFrame(MessageType type, uint64_t session,
                               uint64_t request_id,
-                              const std::vector<uint8_t>& payload) {
+                              std::span<const uint8_t> payload) {
   if (!valid()) return Status::IOError("socket is closed");
-  std::vector<uint8_t> wire = EncodeFrame(type, session, request_id, payload);
-  return WriteAll(wire.data(), wire.size());
+  std::array<uint8_t, kHeaderBytes> header =
+      EncodeFrameHeader(type, session, request_id, payload);
+  iovec iov[2] = {
+      {header.data(), header.size()},
+      {const_cast<uint8_t*>(payload.data()), payload.size()}};
+  return WriteAll(iov, 2);
 }
 
 Result<Frame> FrameSocket::ReadFrame(uint32_t max_payload) {

@@ -1,7 +1,10 @@
 #ifndef QBISM_SERVER_SOCKET_IO_H_
 #define QBISM_SERVER_SOCKET_IO_H_
 
+#include <sys/uio.h>
+
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/result.h"
@@ -33,9 +36,10 @@ class FrameSocket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
-  /// Encodes and sends one whole frame.
+  /// Sends one whole frame: the header from a stack buffer and the
+  /// payload straight from the caller's bytes, in one gathered write.
   Status SendFrame(MessageType type, uint64_t session, uint64_t request_id,
-                   const std::vector<uint8_t>& payload);
+                   std::span<const uint8_t> payload);
 
   /// Reads one whole frame: header, validation, payload, CRC check.
   Result<Frame> ReadFrame(uint32_t max_payload = kMaxFramePayload);
@@ -46,7 +50,9 @@ class FrameSocket {
   void Close();
 
  private:
-  Status WriteAll(const uint8_t* data, size_t size);
+  /// Writes every byte of `iov[0..count)`, resuming after partial
+  /// writes. Consumes (advances) the iovecs.
+  Status WriteAll(iovec* iov, int count);
   /// Reads exactly `size` bytes. `eof_ok` permits a clean EOF before
   /// the first byte (mapped to Cancelled); EOF after it is Corruption.
   Status ReadAll(uint8_t* data, size_t size, bool eof_ok);

@@ -1,42 +1,8 @@
 #include "service/metrics.h"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace qbism::service {
-
-namespace {
-
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  double rank = p * static_cast<double>(sorted.size() - 1);
-  size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, sorted.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
-}  // namespace
-
-LatencySummary LatencyRecorder::Summarize() const {
-  LatencySummary out;
-  std::vector<double> sorted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sorted = samples_;
-    out.count = count_;
-    out.max = max_;
-    out.mean = count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
-  }
-  if (sorted.empty()) return out;
-  // Percentiles are estimated from the reservoir (exact until the
-  // recorder overflows its capacity); count/mean/max are always exact.
-  std::sort(sorted.begin(), sorted.end());
-  out.p50 = Percentile(sorted, 0.50);
-  out.p95 = Percentile(sorted, 0.95);
-  out.p99 = Percentile(sorted, 0.99);
-  return out;
-}
 
 MetricsSnapshot ServiceMetrics::Snapshot() const {
   MetricsSnapshot out;
@@ -51,17 +17,12 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   out.unauthorized = unauthorized_.load(std::memory_order_relaxed);
   out.quota_rejected = quota_rejected_.load(std::memory_order_relaxed);
   out.session_expired = session_expired_.load(std::memory_order_relaxed);
-  out.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  out.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   out.ingests = ingests_.load(std::memory_order_relaxed);
   out.ingest_failures = ingest_failures_.load(std::memory_order_relaxed);
-  out.cache_invalidations =
-      cache_invalidations_.load(std::memory_order_relaxed);
   out.lfm_pages = lfm_pages_.load(std::memory_order_relaxed);
   out.network_seconds = network_seconds_.load(std::memory_order_relaxed);
-  out.queue_wait_seconds = queue_wait_seconds_.load(std::memory_order_relaxed);
-  out.latency = latency_.Summarize();
-  out.queue_wait = queue_wait_.Summarize();
+  out.latency = latency_.Summarize(obs::Stage::kQuery);
+  out.queue_wait = queue_wait_.Summarize(obs::Stage::kQueueWait);
   return out;
 }
 
@@ -102,7 +63,7 @@ std::string MetricsSnapshot::ToJson() const {
       static_cast<unsigned long long>(ingest_failures),
       static_cast<unsigned long long>(cache_invalidations),
       static_cast<unsigned long long>(lfm_pages), network_seconds,
-      queue_wait_seconds,
+      queue_wait.total_seconds,
       static_cast<unsigned long long>(extract_extents_planned),
       static_cast<unsigned long long>(extract_pages_read),
       static_cast<unsigned long long>(extract_pages_demanded),
@@ -110,7 +71,10 @@ std::string MetricsSnapshot::ToJson() const {
       static_cast<unsigned long long>(extract_helper_tasks),
       extract_coalescing_ratio, extract_parallel_efficiency,
       static_cast<unsigned long long>(latency.count),
-      latency.mean, latency.p50, latency.p95, latency.p99, latency.max);
+      latency.count > 0
+          ? latency.total_seconds / static_cast<double>(latency.count)
+          : 0.0,
+      latency.p50, latency.p95, latency.p99, latency.max_seconds);
   std::string out(buf);
   if (!stages.empty()) {
     out.back() = ',';  // reopen the object to append the stages array

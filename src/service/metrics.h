@@ -3,81 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "obs/trace.h"
 
 namespace qbism::service {
-
-/// Latency percentiles over a set of recorded samples (seconds).
-struct LatencySummary {
-  uint64_t count = 0;
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
-};
-
-/// Thread-safe recorder for per-request latencies. Count, mean, and max
-/// are exact over every sample; percentiles come from a bounded
-/// reservoir (Vitter's Algorithm R), so a long-lived service records
-/// forever in O(capacity) memory instead of growing a sample vector
-/// without bound.
-class LatencyRecorder {
- public:
-  static constexpr size_t kDefaultCapacity = 4096;
-
-  explicit LatencyRecorder(size_t capacity = kDefaultCapacity)
-      : capacity_(capacity > 0 ? capacity : 1), rng_(0x9e3779b97f4a7c15ull) {
-    samples_.reserve(capacity_);
-  }
-
-  void Record(double seconds) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++count_;
-    sum_ += seconds;
-    if (seconds > max_) max_ = seconds;
-    if (samples_.size() < capacity_) {
-      samples_.push_back(seconds);
-    } else {
-      // Keep each of the `count_` samples seen so far in the reservoir
-      // with equal probability capacity_ / count_.
-      uint64_t slot = rng_.NextBounded(count_);
-      if (slot < capacity_) samples_[slot] = seconds;
-    }
-  }
-
-  LatencySummary Summarize() const;
-
-  size_t capacity() const { return capacity_; }
-
-  /// Samples currently held (never exceeds capacity()).
-  size_t reservoir_size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return samples_.size();
-  }
-
-  void Reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    samples_.clear();
-    count_ = 0;
-    sum_ = 0.0;
-    max_ = 0.0;
-  }
-
- private:
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  std::vector<double> samples_;  // reservoir; guarded by mu_
-  uint64_t count_ = 0;           // guarded by mu_
-  double sum_ = 0.0;             // guarded by mu_
-  double max_ = 0.0;             // guarded by mu_
-  Rng rng_;                      // guarded by mu_
-};
 
 /// Point-in-time copy of the service counters, safe to read and print.
 struct MetricsSnapshot {
@@ -95,6 +26,8 @@ struct MetricsSnapshot {
   uint64_t unauthorized = 0;     // bad credentials / bad session token
   uint64_t quota_rejected = 0;   // per-tenant quota or fair-share bound
   uint64_t session_expired = 0;  // request on a session past its TTL
+  /// Result-cache counters, read from ResultCache::stats() (the cache
+  /// counts its own hits, misses and invalidations).
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   /// Online-ingest accounting (docs/DURABILITY.md): committed ingest
@@ -105,9 +38,11 @@ struct MetricsSnapshot {
   uint64_t cache_invalidations = 0;
   uint64_t lfm_pages = 0;
   double network_seconds = 0.0;
-  double queue_wait_seconds = 0.0;  // summed across requests
-  LatencySummary latency;           // end-to-end (admission to reply)
-  LatencySummary queue_wait;
+  /// The service-side latency distributions: arrival to reply (the
+  /// interval the tracer records as kQuery) and arrival to slot grant
+  /// (kQueueWait). queue_wait.total_seconds is the summed queue wait.
+  obs::StageSummary latency;
+  obs::StageSummary queue_wait;
 
   /// Extraction fast-path counters, merged in by the service from its
   /// shared ParallelExtractor (deltas over the service's lifetime).
@@ -153,28 +88,20 @@ class ServiceMetrics {
   void AddSessionExpired() {
     session_expired_.fetch_add(1, std::memory_order_relaxed);
   }
-  void AddCacheHit() { cache_hits_.fetch_add(1, std::memory_order_relaxed); }
-  void AddCacheMiss() {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
   void AddIngest() { ingests_.fetch_add(1, std::memory_order_relaxed); }
   void AddIngestFailure() {
     ingest_failures_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void AddCacheInvalidations(uint64_t n) {
-    cache_invalidations_.fetch_add(n, std::memory_order_relaxed);
   }
   void AddLfmPages(uint64_t pages) {
     lfm_pages_.fetch_add(pages, std::memory_order_relaxed);
   }
   void AddNetworkSeconds(double s) { AddDouble(network_seconds_, s); }
 
-  void RecordLatency(double seconds) { latency_.Record(seconds); }
-  void RecordQueueWait(double seconds) {
-    AddDouble(queue_wait_seconds_, seconds);
-    queue_wait_.Record(seconds);
-  }
+  void RecordLatency(double seconds) { latency_.RecordSeconds(seconds); }
+  void RecordQueueWait(double seconds) { queue_wait_.RecordSeconds(seconds); }
 
+  /// Everything but the cache, extraction and stage fields, which the
+  /// owning QueryService fills from their sources.
   MetricsSnapshot Snapshot() const;
 
  private:
@@ -196,16 +123,12 @@ class ServiceMetrics {
   std::atomic<uint64_t> unauthorized_{0};
   std::atomic<uint64_t> quota_rejected_{0};
   std::atomic<uint64_t> session_expired_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_misses_{0};
   std::atomic<uint64_t> ingests_{0};
   std::atomic<uint64_t> ingest_failures_{0};
-  std::atomic<uint64_t> cache_invalidations_{0};
   std::atomic<uint64_t> lfm_pages_{0};
   std::atomic<double> network_seconds_{0.0};
-  std::atomic<double> queue_wait_seconds_{0.0};
-  LatencyRecorder latency_;
-  LatencyRecorder queue_wait_;
+  obs::StageHistogram latency_;
+  obs::StageHistogram queue_wait_;
 };
 
 }  // namespace qbism::service

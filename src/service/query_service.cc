@@ -52,9 +52,7 @@ QueryService::QueryService(qbism::SpatialExtension* ext,
     // served after its data changed.
     ingest_listener_token_ =
         options_.ingest->AddCommitListener([this](int study_id) {
-          size_t dropped = cache_.InvalidatePrefix(
-              "study " + std::to_string(study_id) + " ");
-          metrics_.AddCacheInvalidations(dropped);
+          cache_.InvalidatePrefix("study " + std::to_string(study_id) + " ");
           if (options_.refresh_planner_stats_on_commit) {
             // Re-analyze so the optimizer sees the new study's region
             // distribution; the version bump retires stale cached
@@ -206,7 +204,6 @@ Result<ServiceReply> QueryService::Serve(int slot, const Call& call) {
   if (hit) {
     // Shared-cache fast path: no SQL, no LFM I/O, no modeled network.
     // The probe span also covers copying the answer out of the cache.
-    metrics_.AddCacheHit();
     reply.cache_hit = true;
     qbism::StudyQueryResult& out = reply.result;
     out.data = *hit;
@@ -217,7 +214,6 @@ Result<ServiceReply> QueryService::Serve(int slot, const Call& call) {
     return reply;
   }
   probe.End();
-  if (cache_.enabled()) metrics_.AddCacheMiss();
 
   // Full query path, with the deadline checkpoint installed so a slow
   // query aborts between stages instead of wedging the slot.
@@ -328,6 +324,10 @@ void QueryService::Shutdown() {
 
 MetricsSnapshot QueryService::metrics() const {
   MetricsSnapshot out = metrics_.Snapshot();
+  ResultCacheStats cache = cache_.stats();
+  out.cache_hits = cache.hits;
+  out.cache_misses = cache.misses;
+  out.cache_invalidations = cache.invalidations;
   qbism::ExtractorStatsSnapshot delta =
       ext_->extractor()->stats() - extractor_baseline_;
   out.extract_extents_planned = delta.extents_planned;

@@ -1,28 +1,103 @@
 // Unit tests for the span-based tracing layer: histogram bucketing,
-// span lifecycle and nesting, the disabled fast path, drop-at-capacity,
-// and the structured export formats.
+// precision and concurrent recording, span lifecycle and nesting, the
+// disabled fast path, drop-at-capacity, and the structured export
+// formats.
 
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 namespace qbism::obs {
 namespace {
 
-TEST(StageHistogramTest, BucketOfPowersOfTwo) {
-  EXPECT_EQ(StageHistogram::BucketOf(0), 0);
-  EXPECT_EQ(StageHistogram::BucketOf(1), 0);
-  EXPECT_EQ(StageHistogram::BucketOf(2), 1);
-  EXPECT_EQ(StageHistogram::BucketOf(3), 1);
-  EXPECT_EQ(StageHistogram::BucketOf(4), 2);
-  EXPECT_EQ(StageHistogram::BucketOf(1023), 9);
-  EXPECT_EQ(StageHistogram::BucketOf(1024), 10);
+TEST(StageHistogramTest, LogLinearBucketBoundaries) {
+  // Below 8 ns every value has its own bucket.
+  for (uint64_t v = 0; v < 8; ++v) {
+    EXPECT_EQ(StageHistogram::BucketOf(v), static_cast<int>(v));
+  }
+  // Indices never decrease with the value, and every bucket's lower
+  // bound maps back to that bucket.
+  int prev = 0;
+  for (uint64_t v = 1; v < (uint64_t{1} << 40); v += v / 7 + 1) {
+    int b = StageHistogram::BucketOf(v);
+    EXPECT_GE(b, prev) << v;
+    prev = b;
+  }
+  for (int b = 0; b < StageHistogram::kBuckets; ++b) {
+    uint64_t lo = StageHistogram::BucketLowerBound(b);
+    uint64_t hi = StageHistogram::BucketLowerBound(b + 1);
+    ASSERT_LT(lo, hi) << b;
+    EXPECT_EQ(StageHistogram::BucketOf(lo), b);
+    EXPECT_EQ(StageHistogram::BucketOf(hi - 1), b);
+    // Above 8 ns a bucket is at most 1/8 of its lower bound wide.
+    if (lo >= 8) {
+      EXPECT_LE(8 * (hi - lo), lo) << b;
+    }
+  }
   // Far beyond the top bucket clamps instead of indexing out of range.
   EXPECT_EQ(StageHistogram::BucketOf(~0ull), StageHistogram::kBuckets - 1);
+  EXPECT_EQ(StageHistogram::BucketOf(uint64_t{1} << 60),
+            StageHistogram::kBuckets - 1);
+}
+
+TEST(StageHistogramTest, PercentilesWithinOneSixteenth) {
+  // Log-uniform durations from 1 us to 10 s: every octave is populated,
+  // so a coarse bucket scheme shows its error in the tail.
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> exponent(std::log(1e3),
+                                                  std::log(1e10));
+  std::vector<uint64_t> samples(20000);
+  StageHistogram hist;
+  for (uint64_t& v : samples) {
+    v = static_cast<uint64_t>(std::exp(exponent(rng)));
+    hist.Record(v);
+  }
+  std::sort(samples.begin(), samples.end());
+  StageSummary s = hist.Summarize(Stage::kQuery);
+  auto exact = [&](double p) {
+    size_t rank =
+        static_cast<size_t>(p * static_cast<double>(samples.size() - 1));
+    return static_cast<double>(samples[rank]) * 1e-9;
+  };
+  for (auto [estimate, p] : {std::pair{s.p50, 0.50}, std::pair{s.p95, 0.95},
+                             std::pair{s.p99, 0.99}}) {
+    double truth = exact(p);
+    EXPECT_LE(std::abs(estimate - truth), truth / 16) << "p" << 100 * p;
+  }
+}
+
+TEST(StageHistogramTest, ConcurrentRecordKeepsAggregatesExact) {
+  StageHistogram hist;
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPerThread = 50000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&hist, t] {
+      for (uint64_t i = 1; i <= kPerThread; ++i) {
+        hist.Record(i * kThreads + static_cast<uint64_t>(t));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  constexpr uint64_t kCount = kThreads * kPerThread;
+  // The recorded values are exactly kThreads..kThreads*(kPerThread+1)-1.
+  constexpr uint64_t kMin = kThreads;
+  constexpr uint64_t kMax = kThreads * (kPerThread + 1) - 1;
+  StageSummary s = hist.Summarize(Stage::kShard);
+  EXPECT_EQ(s.count, kCount);
+  EXPECT_EQ(hist.count(), kCount);
+  EXPECT_DOUBLE_EQ(s.total_seconds,
+                   static_cast<double>((kMin + kMax) * kCount / 2) * 1e-9);
+  EXPECT_DOUBLE_EQ(s.max_seconds, static_cast<double>(kMax) * 1e-9);
 }
 
 TEST(StageHistogramTest, ExactCountTotalMaxApproxPercentiles) {
@@ -34,10 +109,9 @@ TEST(StageHistogramTest, ExactCountTotalMaxApproxPercentiles) {
   EXPECT_EQ(s.count, 110u);
   EXPECT_DOUBLE_EQ(s.total_seconds, 100 * 1e-3 + 10 * 100e-3);
   EXPECT_DOUBLE_EQ(s.max_seconds, 0.1);
-  // Power-of-two buckets put the estimate within sqrt(2) of the truth.
-  EXPECT_GT(s.p50, 1e-3 / 1.5);
-  EXPECT_LT(s.p50, 1e-3 * 1.5);
-  EXPECT_GT(s.p99, 0.1 / 1.5);
+  // Log-linear buckets put the estimate within 1/16 of the truth.
+  EXPECT_NEAR(s.p50, 1e-3, 1e-3 / 16);
+  EXPECT_NEAR(s.p99, 0.1, 0.1 / 16);
   EXPECT_LE(s.p99, s.max_seconds);
 }
 

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <cstring>
+#include <thread>
+#include <vector>
+
+#include "server/socket_io.h"
 
 namespace qbism::server {
 namespace {
@@ -126,6 +133,51 @@ TEST(FrameTest, DetectsPayloadCorruption) {
 
   std::vector<uint8_t> truncated(payload.begin(), payload.end() - 1);
   EXPECT_TRUE(VerifyPayload(*header, truncated).IsCorruption());
+}
+
+TEST(FrameSocketTest, GatheredSendIsByteIdenticalToEncodeFrame) {
+  // SendFrame writes the header and the caller's payload as two iovecs;
+  // for a 1 MB payload (far beyond the socket buffer) the bytes that
+  // arrive must be exactly EncodeFrame's, and ReadFrame must accept
+  // them.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  FrameSocket writer(fds[0]);
+  std::vector<uint8_t> payload(1 << 20);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  std::vector<uint8_t> expected =
+      EncodeFrame(MessageType::kResultChunk, 42, 7, payload);
+  std::thread send([&] {
+    EXPECT_TRUE(
+        writer.SendFrame(MessageType::kResultChunk, 42, 7, payload).ok());
+    writer.ShutdownBoth();
+  });
+  std::vector<uint8_t> got;
+  uint8_t buf[8192];
+  for (;;) {
+    ssize_t n = ::recv(fds[1], buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    got.insert(got.end(), buf, buf + n);
+  }
+  send.join();
+  ::close(fds[1]);
+  EXPECT_EQ(got, expected);
+
+  // The same frame, read back through FrameSocket.
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  FrameSocket a(fds[0]);
+  FrameSocket b(fds[1]);
+  std::thread resend([&] {
+    EXPECT_TRUE(a.SendFrame(MessageType::kResultChunk, 42, 7, payload).ok());
+  });
+  Result<Frame> frame = b.ReadFrame();
+  resend.join();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->header.session, 42u);
+  EXPECT_EQ(frame->header.request_id, 7u);
+  EXPECT_EQ(frame->payload, payload);
 }
 
 TEST(WireTest, WriterReaderRoundTrip) {

@@ -245,6 +245,62 @@ TEST_F(ServerTest, QuotaBouncesArePenaltyPaced) {
   server.Shutdown();
 }
 
+TEST_F(ServerTest, ServerCountersAreTheSumOfTenantCounters) {
+  ServerOptions options = BaseOptions();
+  options.quota_penalty_seconds = 0.0;
+  options.tenants[0].max_inflight = 1;
+  options.tenants[0].max_waiting = 1;
+  TenantConfig lab;
+  lab.name = "lab";
+  lab.secret = "lab-secret";
+  options.tenants.push_back(lab);
+  QbismServer server(ext_, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto clinic = NetClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(clinic.ok());
+  ASSERT_TRUE(clinic->Login("clinic", "clinic-secret").ok());
+  auto lab_client = NetClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(lab_client.ok());
+  ASSERT_TRUE(lab_client->Login("lab", "lab-secret").ok());
+
+  // A quota bounce: the clinic's only slot is held and its one waiting
+  // place is taken.
+  {
+    service::SlotAdmission* admission = server.service()->admission();
+    auto held = admission->Acquire(0);
+    ASSERT_TRUE(held.ok());
+    std::thread parked([admission] { (void)admission->Acquire(0); });
+    WaitUntil([&] { return admission->tenant_stats(0).waiting == 1; });
+    EXPECT_FALSE(clinic->RunQuery(StructureSpec()).ok());
+    EXPECT_EQ(clinic->last_error_reason(), ErrorReason::kQuotaRejected);
+    held->Release();
+    parked.join();
+  }
+  ASSERT_TRUE(clinic->RunQuery(StructureSpec()).ok());
+  ASSERT_TRUE(lab_client->RunQuery(StructureSpec()).ok());
+  ASSERT_TRUE(lab_client->RunQuery(StructureSpec()).ok());
+  // A failed query: the study does not exist.
+  QuerySpec missing = StructureSpec();
+  missing.study_id = 1 << 30;
+  ASSERT_FALSE(lab_client->RunQuery(missing).ok());
+  EXPECT_EQ(lab_client->last_error_reason(), ErrorReason::kQueryFailed);
+
+  TenantWireStats a = server.tenant_stats(0);
+  TenantWireStats b = server.tenant_stats(1);
+  EXPECT_EQ(a.queries_ok, 1u);
+  EXPECT_EQ(a.queries_failed, 1u);  // the quota bounce counts as failed
+  EXPECT_EQ(b.queries_ok, 2u);
+  EXPECT_EQ(b.queries_failed, 1u);
+  EXPECT_EQ(a.latency.count, a.queries_ok);
+  EXPECT_EQ(b.latency.count, b.queries_ok);
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.queries_ok, a.queries_ok + b.queries_ok);
+  EXPECT_EQ(stats.queries_failed, a.queries_failed + b.queries_failed);
+  EXPECT_EQ(stats.ship_bytes, a.ship_bytes + b.ship_bytes);
+  EXPECT_GT(stats.ship_bytes, 0u);
+  server.Shutdown();
+}
+
 TEST_F(ServerTest, PingRefreshesAndPongs) {
   QbismServer server(ext_, BaseOptions());
   ASSERT_TRUE(server.Start().ok());

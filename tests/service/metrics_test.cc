@@ -1,71 +1,38 @@
-// LatencyRecorder reservoir sampling: memory stays bounded at the
-// configured capacity while count/mean/max remain exact, and the
-// snapshot JSON carries the per-stage tracing summaries.
+// ServiceMetrics snapshots: latency and queue-wait histograms, edge
+// rejection counters, and the snapshot JSON with the per-stage tracing
+// summaries.
 
 #include "service/metrics.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 
 namespace qbism::service {
 namespace {
 
-TEST(LatencyRecorderTest, ExactUntilCapacity) {
-  LatencyRecorder recorder(1024);
-  for (int i = 1; i <= 100; ++i) recorder.Record(i * 1e-3);
-  LatencySummary s = recorder.Summarize();
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_NEAR(s.mean, 50.5e-3, 1e-9);
-  EXPECT_NEAR(s.p50, 50.5e-3, 1e-3);
-  EXPECT_NEAR(s.p95, 95e-3, 2e-3);
-  EXPECT_DOUBLE_EQ(s.max, 100e-3);
-  EXPECT_EQ(recorder.reservoir_size(), 100u);
-}
-
-TEST(LatencyRecorderTest, ReservoirCapsMemoryWithExactAggregates) {
-  constexpr size_t kCapacity = 256;
-  constexpr int kSamples = 50'000;
-  LatencyRecorder recorder(kCapacity);
-  double sum = 0.0;
-  for (int i = 0; i < kSamples; ++i) {
-    // Uniform ramp over [0, 1): percentiles are predictable.
-    double sample = static_cast<double>(i % 1000) * 1e-3;
-    sum += sample;
-    recorder.Record(sample);
-  }
-  EXPECT_EQ(recorder.reservoir_size(), kCapacity);  // the cap held
-  LatencySummary s = recorder.Summarize();
-  EXPECT_EQ(s.count, static_cast<uint64_t>(kSamples));  // exact
-  EXPECT_NEAR(s.mean, sum / kSamples, 1e-12);           // exact
-  EXPECT_DOUBLE_EQ(s.max, 0.999);                       // exact
-  // Percentiles come from a 256-sample uniform reservoir: loose bounds.
-  EXPECT_NEAR(s.p50, 0.5, 0.12);
-  EXPECT_GT(s.p95, s.p50);
-  EXPECT_LE(s.p99, s.max);
-}
-
-TEST(LatencyRecorderTest, DefaultCapacityBoundsUnboundedRecording) {
-  LatencyRecorder recorder;
-  for (int i = 0; i < 10'000; ++i) recorder.Record(1e-3);
-  EXPECT_LE(recorder.reservoir_size(), LatencyRecorder::kDefaultCapacity);
-  LatencySummary s = recorder.Summarize();
-  EXPECT_EQ(s.count, 10'000u);
-  EXPECT_NEAR(s.mean, 1e-3, 1e-12);
-  EXPECT_DOUBLE_EQ(s.p50, 1e-3);
-}
-
-TEST(LatencyRecorderTest, ResetClearsEverything) {
-  LatencyRecorder recorder(8);
-  for (int i = 0; i < 100; ++i) recorder.Record(2.0);
-  recorder.Reset();
-  LatencySummary s = recorder.Summarize();
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.max, 0.0);
-  EXPECT_EQ(recorder.reservoir_size(), 0u);
-  recorder.Record(1.0);
-  EXPECT_EQ(recorder.Summarize().count, 1u);
+TEST(ServiceMetricsTest, LatencyHistogramsFlowIntoSnapshotAndJson) {
+  ServiceMetrics metrics;
+  metrics.RecordLatency(0.010);
+  metrics.RecordLatency(0.030);
+  metrics.RecordQueueWait(0.002);
+  metrics.RecordQueueWait(0.004);
+  MetricsSnapshot snapshot = metrics.Snapshot();
+  // Count / total / max are exact; percentiles are the histogram's.
+  EXPECT_EQ(snapshot.latency.count, 2u);
+  EXPECT_NEAR(snapshot.latency.total_seconds, 0.040, 1e-8);
+  EXPECT_NEAR(snapshot.latency.max_seconds, 0.030, 1e-8);
+  EXPECT_LE(snapshot.latency.p99, snapshot.latency.max_seconds);
+  EXPECT_EQ(snapshot.queue_wait.count, 2u);
+  EXPECT_NEAR(snapshot.queue_wait.total_seconds, 0.006, 1e-8);
+  // The JSON keys predate the histogram: mean is total / count and
+  // queue_wait_seconds is the queue-wait total.
+  std::string json = snapshot.ToJson();
+  EXPECT_NE(json.find("\"queue_wait_seconds\":0.006000"), std::string::npos);
+  EXPECT_NE(json.find("\"latency\":{\"count\":2,\"mean\":0.020000"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"max\":0.030000}"), std::string::npos) << json;
 }
 
 TEST(ServiceMetricsTest, EdgeRejectionCountersFlowIntoSnapshotAndJson) {

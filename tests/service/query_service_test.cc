@@ -128,6 +128,10 @@ TEST_F(QueryServiceTest, ConcurrentMixedWorkloadMatchesSerialExecution) {
   EXPECT_EQ(metrics.completed, specs.size());
   EXPECT_EQ(metrics.rejected_queue_full, 0u);
   EXPECT_EQ(metrics.cache_hits + metrics.cache_misses, specs.size());
+  // The snapshot's cache counters are the cache's own, counted once.
+  ResultCacheStats cache = service.cache_stats();
+  EXPECT_EQ(metrics.cache_hits, cache.hits);
+  EXPECT_EQ(metrics.cache_misses, cache.misses);
   EXPECT_EQ(metrics.latency.count, specs.size());
   service.Shutdown();
 }
@@ -231,7 +235,7 @@ TEST_F(QueryServiceTest, DeadlineExpiresWhileWaitingForASlot) {
   EXPECT_EQ(metrics.deadline_expired, 1u);
   EXPECT_EQ(metrics.completed, 0u);
   EXPECT_EQ(metrics.cache_misses, 0u);  // never reached the cache probe
-  EXPECT_GE(metrics.queue_wait.max, 0.02);
+  EXPECT_GE(metrics.queue_wait.max_seconds, 0.02);
   // The slot is free again and serves the next request normally.
   request.deadline_seconds = 0.0;
   EXPECT_TRUE(service.Execute(request).ok());
