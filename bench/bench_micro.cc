@@ -2,10 +2,13 @@
 // remarks: O(bits) curve conversions ("Both curves require O(n)
 // complexity to convert", §4), cheap merge-scan spatial operators ("the
 // computational cost of managing REGIONs ... is low", §6.4), and the
-// contiguous-copy extraction path.
+// contiguous-copy extraction path. BM_Crc32 gives the CRC-32 kernel
+// that seals every wire frame and WAL record a rerunnable MB/s figure.
 
 #include <benchmark/benchmark.h>
 
+#include "common/crc32.h"
+#include "common/rng.h"
 #include "compress/codes.h"
 #include "curve/curve.h"
 #include "geometry/shapes.h"
@@ -143,6 +146,20 @@ void BM_EliasGammaCodec(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EliasGammaCodec);
+
+/// 64 KiB (a result chunk) and 2 MiB (a whole-study answer) of random
+/// bytes.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> bytes(static_cast<size_t>(state.range(0)));
+  qbism::Rng rng(7);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qbism::Crc32(bytes));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(65536)->Arg(2097152);
 
 }  // namespace
 

@@ -8,12 +8,14 @@
 // direct stages
 // sum to the end-to-end latency within 10% — the tracer's coverage
 // guarantee. A final arm measures the cost of a *disabled* tracer
-// against no tracer at all (the near-zero-overhead claim), and the full
+// against no tracer at all (the near-zero-overhead claim) in alternating
+// rounds, judged on the median per-round ratio, and the full
 // span buffer of the last class is exported in chrome://tracing format.
 //
 // `--smoke` shrinks repetitions and the realize scale for the
 // perf-labeled ctest.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -122,27 +124,32 @@ void PrintClass(const ClassResult& r, const Tracer& tracer) {
               r.modeled_total, static_cast<unsigned long long>(r.lfm_pages));
 }
 
-/// Wall seconds for `requests` box queries against an untraced or
-/// traced-but-disabled service — the disabled-path overhead arm.
-double TimeQueries(SpatialExtension* ext, Tracer* tracer, int study_id,
-                   int requests) {
+/// A single-worker, cache-off service for the disabled-path overhead
+/// arm: `tracer` is null (untraced) or attached but disabled.
+ServiceOptions OverheadOptions(Tracer* tracer) {
   ServiceOptions options;
   options.num_workers = 1;
   options.cache_entries = 0;
   options.tracer = tracer;
-  QueryService service(ext, options);
-  QuerySpec spec;
-  spec.study_id = study_id;
-  spec.box = qbism::geometry::Box3i{{30, 30, 30}, {100, 100, 100}};
+  return options;
+}
+
+/// Wall seconds for `requests` runs of `spec` through `service`.
+double TimeQueries(QueryService* service, const QuerySpec& spec,
+                   int requests) {
   qbism::WallTimer wall;
   for (int i = 0; i < requests; ++i) {
     ServiceRequest request;
     request.spec = spec;
-    QBISM_CHECK(service.Execute(request).ok());
+    QBISM_CHECK(service->Execute(request).ok());
   }
-  double seconds = wall.Seconds();
-  service.Shutdown();
-  return seconds;
+  return wall.Seconds();
+}
+
+/// Nearest-rank quantile of an ascending-sorted, non-empty sample.
+double SortedQuantile(const std::vector<double>& sorted, double q) {
+  size_t rank = static_cast<size_t>(q * static_cast<double>(sorted.size()));
+  return sorted[std::min(rank, sorted.size() - 1)];
 }
 
 }  // namespace
@@ -222,19 +229,55 @@ int main(int argc, char** argv) {
       1.0 / kRealizeScale);
 
   // --- Disabled-tracer overhead arm (no realized waits: pure CPU). ----
+  // One timed block per side is at the mercy of whatever else the host
+  // runs at that moment, so the two sides alternate in short blocks
+  // (the leading side swaps every round to cancel drift) and the bound
+  // is judged on the median per-round ratio, with its p10-p90 spread.
   db.long_field_device()->set_realize_scale(0.0);
-  const int kOverheadRequests = smoke ? 8 : 48;
-  double untraced = TimeQueries(ext.get(), nullptr, study_id,
-                                kOverheadRequests);
+  const int kOverheadRounds = smoke ? 3 : 31;
+  const int kOverheadBlock = smoke ? 4 : 64;
+  const double kOverheadBoundPct = 2.0;
   Tracer disabled_tracer;
   disabled_tracer.set_enabled(false);
-  double disabled = TimeQueries(ext.get(), &disabled_tracer, study_id,
-                                kOverheadRequests);
-  double overhead_pct = (disabled / untraced - 1.0) * 100.0;
+  QueryService untraced_service(ext.get(), OverheadOptions(nullptr));
+  QueryService disabled_service(ext.get(), OverheadOptions(&disabled_tracer));
+  QuerySpec overhead_spec;
+  overhead_spec.study_id = study_id;
+  overhead_spec.box = qbism::geometry::Box3i{{30, 30, 30}, {100, 100, 100}};
+  TimeQueries(&untraced_service, overhead_spec, kOverheadBlock);  // warm-up
+  TimeQueries(&disabled_service, overhead_spec, kOverheadBlock);
+  double untraced = 0.0;
+  double disabled = 0.0;
+  std::vector<double> ratios;
+  for (int round = 0; round < kOverheadRounds; ++round) {
+    double u = 0.0;
+    double d = 0.0;
+    if (round % 2 == 0) {
+      u = TimeQueries(&untraced_service, overhead_spec, kOverheadBlock);
+      d = TimeQueries(&disabled_service, overhead_spec, kOverheadBlock);
+    } else {
+      d = TimeQueries(&disabled_service, overhead_spec, kOverheadBlock);
+      u = TimeQueries(&untraced_service, overhead_spec, kOverheadBlock);
+    }
+    untraced += u;
+    disabled += d;
+    ratios.push_back(d / u);
+  }
+  untraced_service.Shutdown();
+  disabled_service.Shutdown();
+  std::sort(ratios.begin(), ratios.end());
+  const double overhead_pct = (SortedQuantile(ratios, 0.5) - 1.0) * 100.0;
+  const double overhead_p10_pct = (SortedQuantile(ratios, 0.1) - 1.0) * 100.0;
+  const double overhead_p90_pct = (SortedQuantile(ratios, 0.9) - 1.0) * 100.0;
+  const bool overhead_within = overhead_pct < kOverheadBoundPct;
   std::printf(
-      "\nDisabled-tracer overhead: %d requests untraced %.4f s, "
-      "disabled tracer %.4f s -> %+.2f%%\n",
-      kOverheadRequests, untraced, disabled, overhead_pct);
+      "\nDisabled-tracer overhead: %d alternating rounds x %d requests "
+      "per side (untraced %.4f s, disabled tracer %.4f s in total)\n"
+      "  median per-round overhead %+.2f%% (p10 %+.2f%%, p90 %+.2f%%) "
+      "%s\n",
+      kOverheadRounds, kOverheadBlock, untraced, disabled, overhead_pct,
+      overhead_p10_pct, overhead_p90_pct,
+      overhead_within ? "[within the 2% bound]" : "[ABOVE the 2% bound]");
   QBISM_CHECK(disabled_tracer.recorded() == 0);
 
   // --- Structured outputs. --------------------------------------------
@@ -257,7 +300,13 @@ int main(int argc, char** argv) {
   }
   json.Add("overhead_untraced_seconds", untraced);
   json.Add("overhead_disabled_seconds", disabled);
+  json.Add("overhead_rounds", static_cast<uint64_t>(kOverheadRounds));
+  json.Add("overhead_requests_per_block",
+           static_cast<uint64_t>(kOverheadBlock));
   json.Add("overhead_disabled_pct", overhead_pct);
+  json.Add("overhead_disabled_pct_p10", overhead_p10_pct);
+  json.Add("overhead_disabled_pct_p90", overhead_p90_pct);
+  json.AddString("overhead_within_2pct", overhead_within ? "true" : "false");
   json.AddString("coverage_within_10pct", all_within ? "true" : "false");
 
   const char* out = "BENCH_trace.json";

@@ -1,5 +1,7 @@
 #include "server/client.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
 #include "common/timer.h"
 
@@ -10,23 +12,32 @@ Result<NetClient> NetClient::Connect(const std::string& host, uint16_t port) {
   return NetClient(std::move(socket));
 }
 
-Result<Frame> NetClient::ReadExpected(MessageType want, uint64_t request_id) {
-  QBISM_ASSIGN_OR_RETURN(Frame frame, socket_.ReadFrame());
-  if (frame.header.type == MessageType::kError) {
-    QBISM_ASSIGN_OR_RETURN(ErrorReply error, DecodeError(frame.payload));
+Result<FrameHeader> NetClient::ReadExpectedHeader(MessageType want,
+                                                  uint64_t request_id) {
+  QBISM_ASSIGN_OR_RETURN(FrameHeader header, socket_.ReadHeader());
+  if (header.type == want && header.request_id == request_id) return header;
+  std::vector<uint8_t> payload(header.payload_bytes);
+  QBISM_RETURN_NOT_OK(socket_.ReadPayload(header, payload.data()));
+  if (header.type == MessageType::kError) {
+    QBISM_ASSIGN_OR_RETURN(ErrorReply error, DecodeError(payload));
     last_error_reason_ = error.reason;
     return Status(error.code, std::string(ErrorReasonName(error.reason)) +
                                   ": " + error.message);
   }
-  if (frame.header.type != want) {
+  if (header.type != want) {
     return Status::Corruption(std::string("expected ") + MessageTypeName(want) +
-                              ", got " + MessageTypeName(frame.header.type));
+                              ", got " + MessageTypeName(header.type));
   }
-  if (frame.header.request_id != request_id) {
-    return Status::Corruption(
-        "response for request " + std::to_string(frame.header.request_id) +
-        ", expected " + std::to_string(request_id));
-  }
+  return Status::Corruption(
+      "response for request " + std::to_string(header.request_id) +
+      ", expected " + std::to_string(request_id));
+}
+
+Result<Frame> NetClient::ReadExpected(MessageType want, uint64_t request_id) {
+  Frame frame;
+  QBISM_ASSIGN_OR_RETURN(frame.header, ReadExpectedHeader(want, request_id));
+  frame.payload.resize(frame.header.payload_bytes);
+  QBISM_RETURN_NOT_OK(socket_.ReadPayload(frame.header, frame.payload.data()));
   return frame;
 }
 
@@ -72,17 +83,29 @@ Result<QueryOutcome> NetClient::RunQuery(const qbism::QuerySpec& spec,
                            ReadExpected(MessageType::kResultHeader, id));
     QBISM_ASSIGN_OR_RETURN(out.header, DecodeResultHeader(frame.payload));
   }
+  // Each chunk is received straight into the reassembly buffer and its
+  // frame CRC verified there, so every answer byte is hashed once and
+  // the verified chunk CRCs fold into the CRC of the whole answer for
+  // the trailer check. The buffer grows only by chunks that passed the overrun
+  // check; the announced size is the peer's claim, so at most one
+  // frame's worth of it is reserved up front.
   std::vector<uint8_t> payload;
-  payload.reserve(out.header.payload_bytes);
+  payload.reserve(std::min<uint64_t>(out.header.payload_bytes,
+                                     kMaxFramePayload));
+  uint32_t payload_crc = 0;  // Crc32 of the chunks received so far
   while (payload.size() < out.header.payload_bytes) {
-    QBISM_ASSIGN_OR_RETURN(Frame chunk,
-                           ReadExpected(MessageType::kResultChunk, id));
-    if (payload.size() + chunk.payload.size() > out.header.payload_bytes) {
+    QBISM_ASSIGN_OR_RETURN(FrameHeader chunk,
+                           ReadExpectedHeader(MessageType::kResultChunk, id));
+    if (payload.size() + chunk.payload_bytes > out.header.payload_bytes) {
       return Status::Corruption("result chunks overrun the announced " +
                                 std::to_string(out.header.payload_bytes) +
                                 " payload bytes");
     }
-    payload.insert(payload.end(), chunk.payload.begin(), chunk.payload.end());
+    const size_t off = payload.size();
+    payload.resize(off + chunk.payload_bytes);
+    QBISM_RETURN_NOT_OK(socket_.ReadPayload(chunk, payload.data() + off));
+    payload_crc =
+        Crc32Combine(payload_crc, chunk.payload_crc, chunk.payload_bytes);
     ++out.chunks;
   }
   ResultEnd end;
@@ -100,7 +123,7 @@ Result<QueryOutcome> NetClient::RunQuery(const qbism::QuerySpec& spec,
         std::to_string(end.chunk_count) + " chunks, received " +
         std::to_string(payload.size()) + " / " + std::to_string(out.chunks));
   }
-  if (end.payload_crc != Crc32(payload)) {
+  if (end.payload_crc != payload_crc) {
     return Status::Corruption("reassembled answer payload fails its CRC");
   }
   QBISM_ASSIGN_OR_RETURN(out.data, DecodeAnswerPayload(payload));

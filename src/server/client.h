@@ -68,6 +68,11 @@ class NetClient {
   /// Reads one frame, turning kError frames into their carried Status
   /// (and recording the reason).
   Result<Frame> ReadExpected(MessageType want, uint64_t request_id);
+  /// ReadExpected's first half: returns the header of a `want` frame
+  /// for `request_id` with its payload still on the socket. Any other
+  /// frame is read whole and returned as its error.
+  Result<FrameHeader> ReadExpectedHeader(MessageType want,
+                                         uint64_t request_id);
 
   FrameSocket socket_;
   uint64_t session_token_ = 0;

@@ -71,7 +71,7 @@ const char* ErrorReasonName(ErrorReason reason) {
 
 std::array<uint8_t, kHeaderBytes> EncodeFrameHeader(
     MessageType type, uint64_t session, uint64_t request_id,
-    std::span<const uint8_t> payload) {
+    uint32_t payload_bytes, uint32_t payload_crc) {
   std::array<uint8_t, kHeaderBytes> out{};
   uint8_t* p = out.data();
   auto put = [&p](uint64_t v, int bytes) {
@@ -83,16 +83,17 @@ std::array<uint8_t, kHeaderBytes> EncodeFrameHeader(
   put(0, 4);  // flags (reserved)
   put(session, 8);
   put(request_id, 8);
-  put(payload.size(), 4);
-  put(Crc32(payload.data(), payload.size()), 4);
+  put(payload_bytes, 4);
+  put(payload_crc, 4);
   return out;
 }
 
 std::vector<uint8_t> EncodeFrame(MessageType type, uint64_t session,
                                  uint64_t request_id,
                                  const std::vector<uint8_t>& payload) {
-  std::array<uint8_t, kHeaderBytes> header =
-      EncodeFrameHeader(type, session, request_id, payload);
+  std::array<uint8_t, kHeaderBytes> header = EncodeFrameHeader(
+      type, session, request_id, static_cast<uint32_t>(payload.size()),
+      Crc32(payload));
   std::vector<uint8_t> out(kHeaderBytes + payload.size());
   std::copy(header.begin(), header.end(), out.begin());
   std::copy(payload.begin(), payload.end(), out.begin() + kHeaderBytes);
@@ -139,14 +140,13 @@ Result<FrameHeader> DecodeFrameHeader(const uint8_t* bytes, size_t size,
 }
 
 Status VerifyPayload(const FrameHeader& header,
-                     const std::vector<uint8_t>& payload) {
+                     std::span<const uint8_t> payload) {
   if (payload.size() != header.payload_bytes) {
     return Status::Corruption("payload truncated: " +
                               std::to_string(payload.size()) + " of " +
                               std::to_string(header.payload_bytes) + " bytes");
   }
-  uint32_t crc = Crc32(payload);
-  if (crc != header.payload_crc) {
+  if (Crc32(payload.data(), payload.size()) != header.payload_crc) {
     return Status::Corruption("payload CRC mismatch");
   }
   return Status::OK();

@@ -89,15 +89,22 @@ struct Frame {
 };
 
 /// CRC-32 (IEEE reflected polynomial 0xEDB88320); shared with the
-/// write-ahead log's record framing (common/crc32.h).
+/// write-ahead log's record framing (common/crc32.h). The result stream
+/// hashes each answer byte once per side: a chunk's frame CRC is
+/// computed (sender) or verified (receiver) over the chunk, and the
+/// result_end trailer's whole-payload CRC is folded from those with
+/// Crc32Combine — the same value as Crc32 over the whole payload.
 using qbism::Crc32;
+using qbism::Crc32Combine;
 
-/// The 36-byte header of the frame carrying `payload`: magic, version,
-/// type, ids, payload length and payload CRC. A sender can write it
-/// and the payload as two pieces without joining them first.
+/// The 36-byte header of a frame whose payload is `payload_bytes` long
+/// with CRC `payload_crc` (= Crc32 of exactly those bytes): magic,
+/// version, type, ids, length and CRC. A sender can write it and the
+/// payload as two pieces without joining them first, and can pass a
+/// CRC it has already computed.
 std::array<uint8_t, kHeaderBytes> EncodeFrameHeader(
     MessageType type, uint64_t session, uint64_t request_id,
-    std::span<const uint8_t> payload);
+    uint32_t payload_bytes, uint32_t payload_crc);
 
 /// Serializes header + payload into one contiguous buffer (the
 /// reference encoding the protocol tests frame and parse).
@@ -112,9 +119,9 @@ std::vector<uint8_t> EncodeFrame(MessageType type, uint64_t session,
 Result<FrameHeader> DecodeFrameHeader(const uint8_t* bytes, size_t size,
                                       uint32_t max_payload = kMaxFramePayload);
 
-/// CRC check of a fully-read payload against its header.
+/// Length and CRC check of a fully-read payload against its header.
 Status VerifyPayload(const FrameHeader& header,
-                     const std::vector<uint8_t>& payload);
+                     std::span<const uint8_t> payload);
 
 /// --- Wire primitives --------------------------------------------------
 

@@ -134,8 +134,10 @@ void QbismServer::ReapFinished() {
 
 Status QbismServer::SendCounted(Connection* conn, MessageType type,
                                 uint64_t session, uint64_t request_id,
-                                std::span<const uint8_t> payload) {
-  Status status = conn->socket.SendFrame(type, session, request_id, payload);
+                                std::span<const uint8_t> payload,
+                                uint32_t payload_crc) {
+  Status status =
+      conn->socket.SendFrame(type, session, request_id, payload, payload_crc);
   if (status.ok()) {
     frames_written_.fetch_add(1, std::memory_order_relaxed);
     bytes_written_.fetch_add(kHeaderBytes + payload.size(),
@@ -379,12 +381,19 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
   bool sent = SendCounted(conn, MessageType::kResultHeader, header.session,
                           header.request_id, EncodeResultHeader(rh))
                   .ok();
+  // Each answer byte is hashed once: the chunk CRC goes into that
+  // chunk's frame header and is folded into the whole-payload CRC the
+  // trailer carries (equal to the CRC of the whole answer).
   const std::span<const uint8_t> answer(*payload);
+  uint32_t payload_crc = 0;  // Crc32 of the chunks sent so far
   for (uint64_t off = 0; sent && off < total; off += chunk_bytes) {
-    uint64_t n = std::min<uint64_t>(chunk_bytes, total - off);
+    const std::span<const uint8_t> chunk =
+        answer.subspan(off, std::min<uint64_t>(chunk_bytes, total - off));
+    const uint32_t chunk_crc = Crc32(chunk.data(), chunk.size());
     sent = SendCounted(conn, MessageType::kResultChunk, header.session,
-                       header.request_id, answer.subspan(off, n))
+                       header.request_id, chunk, chunk_crc)
                .ok();
+    payload_crc = Crc32Combine(payload_crc, chunk_crc, chunk.size());
   }
   ship.AddBytes(total);
   if (!sent) {
@@ -406,7 +415,7 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
   ResultEnd re;
   re.payload_bytes = total;
   re.chunk_count = chunks;
-  re.payload_crc = Crc32(*payload);
+  re.payload_crc = payload_crc;
   sent = SendCounted(conn, MessageType::kResultEnd, header.session,
                      header.request_id, EncodeResultEnd(re))
              .ok();

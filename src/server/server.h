@@ -159,7 +159,14 @@ class QbismServer {
   /// before its rejection reply goes out (no-op when disabled/stopping).
   void PenalizeQuota();
   Status SendCounted(Connection* conn, MessageType type, uint64_t session,
-                     uint64_t request_id, std::span<const uint8_t> payload);
+                     uint64_t request_id, std::span<const uint8_t> payload) {
+    return SendCounted(conn, type, session, request_id, payload,
+                       Crc32(payload.data(), payload.size()));
+  }
+  /// `payload_crc` is Crc32(payload), already computed by the caller.
+  Status SendCounted(Connection* conn, MessageType type, uint64_t session,
+                     uint64_t request_id, std::span<const uint8_t> payload,
+                     uint32_t payload_crc);
   void ReapFinished();
 
   qbism::SpatialExtension* ext_;

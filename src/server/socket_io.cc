@@ -68,10 +68,12 @@ Status FrameSocket::ReadAll(uint8_t* data, size_t size, bool eof_ok) {
 
 Status FrameSocket::SendFrame(MessageType type, uint64_t session,
                               uint64_t request_id,
-                              std::span<const uint8_t> payload) {
+                              std::span<const uint8_t> payload,
+                              uint32_t payload_crc) {
   if (!valid()) return Status::IOError("socket is closed");
-  std::array<uint8_t, kHeaderBytes> header =
-      EncodeFrameHeader(type, session, request_id, payload);
+  std::array<uint8_t, kHeaderBytes> header = EncodeFrameHeader(
+      type, session, request_id, static_cast<uint32_t>(payload.size()),
+      payload_crc);
   iovec iov[2] = {
       {header.data(), header.size()},
       {const_cast<uint8_t*>(payload.data()), payload.size()}};
@@ -79,21 +81,25 @@ Status FrameSocket::SendFrame(MessageType type, uint64_t session,
 }
 
 Result<Frame> FrameSocket::ReadFrame(uint32_t max_payload) {
+  Frame frame;
+  QBISM_ASSIGN_OR_RETURN(frame.header, ReadHeader(max_payload));
+  frame.payload.resize(frame.header.payload_bytes);
+  QBISM_RETURN_NOT_OK(ReadPayload(frame.header, frame.payload.data()));
+  return frame;
+}
+
+Result<FrameHeader> FrameSocket::ReadHeader(uint32_t max_payload) {
   if (!valid()) return Status::IOError("socket is closed");
   uint8_t header_bytes[kHeaderBytes];
   QBISM_RETURN_NOT_OK(ReadAll(header_bytes, kHeaderBytes, /*eof_ok=*/true));
-  QBISM_ASSIGN_OR_RETURN(
-      FrameHeader header,
-      DecodeFrameHeader(header_bytes, kHeaderBytes, max_payload));
-  Frame frame;
-  frame.header = header;
-  frame.payload.resize(header.payload_bytes);
+  return DecodeFrameHeader(header_bytes, kHeaderBytes, max_payload);
+}
+
+Status FrameSocket::ReadPayload(const FrameHeader& header, uint8_t* dst) {
   if (header.payload_bytes > 0) {
-    QBISM_RETURN_NOT_OK(
-        ReadAll(frame.payload.data(), frame.payload.size(), /*eof_ok=*/false));
+    QBISM_RETURN_NOT_OK(ReadAll(dst, header.payload_bytes, /*eof_ok=*/false));
   }
-  QBISM_RETURN_NOT_OK(VerifyPayload(frame.header, frame.payload));
-  return frame;
+  return VerifyPayload(header, {dst, header.payload_bytes});
 }
 
 void FrameSocket::ShutdownBoth() {

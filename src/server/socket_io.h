@@ -39,10 +39,25 @@ class FrameSocket {
   /// Sends one whole frame: the header from a stack buffer and the
   /// payload straight from the caller's bytes, in one gathered write.
   Status SendFrame(MessageType type, uint64_t session, uint64_t request_id,
-                   std::span<const uint8_t> payload);
+                   std::span<const uint8_t> payload) {
+    return SendFrame(type, session, request_id, payload,
+                     Crc32(payload.data(), payload.size()));
+  }
+  /// Same, with `payload_crc` = Crc32(payload) already computed by the
+  /// caller, so the payload is not hashed a second time.
+  Status SendFrame(MessageType type, uint64_t session, uint64_t request_id,
+                   std::span<const uint8_t> payload, uint32_t payload_crc);
 
   /// Reads one whole frame: header, validation, payload, CRC check.
   Result<Frame> ReadFrame(uint32_t max_payload = kMaxFramePayload);
+
+  /// The two halves of ReadFrame, for a reader that places payloads
+  /// itself. ReadHeader reads and validates a header and leaves the
+  /// payload on the socket; ReadPayload then reads its
+  /// `header.payload_bytes` bytes into `dst` and checks the frame CRC
+  /// over them where they lie.
+  Result<FrameHeader> ReadHeader(uint32_t max_payload = kMaxFramePayload);
+  Status ReadPayload(const FrameHeader& header, uint8_t* dst);
 
   /// Half-closes both directions (wakes a peer blocked in recv) without
   /// releasing the fd; Close() still must run.

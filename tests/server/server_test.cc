@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 
 #include <atomic>
@@ -11,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "geometry/shapes.h"
 #include "med/loader.h"
 #include "med/schema.h"
 #include "obs/trace.h"
@@ -548,6 +551,183 @@ TEST_F(ServerTest, ShutdownSeversIdleConnections) {
   EXPECT_FALSE(client->Ping().ok());
   // Idempotent.
   server.Shutdown();
+}
+
+/// One frame of a scripted answer; `crc` is what its header claims
+/// (normally Crc32(payload)).
+struct ScriptedFrame {
+  MessageType type;
+  std::vector<uint8_t> payload;
+  uint32_t crc;
+};
+
+ScriptedFrame Scripted(MessageType type, std::vector<uint8_t> payload) {
+  const uint32_t crc = Crc32(payload);
+  return ScriptedFrame{type, std::move(payload), crc};
+}
+
+/// Runs one NetClient query against a scripted peer on a loopback
+/// listener: the peer answers HELLO with WELCOME, then answers the
+/// query with `script`, frame by frame, exactly as given.
+Result<QueryOutcome> RunAgainstScript(
+    const std::vector<ScriptedFrame>& script) {
+  FrameSocket listener(::socket(AF_INET, SOCK_STREAM, 0));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  if (!listener.valid() ||
+      ::bind(listener.fd(), reinterpret_cast<sockaddr*>(&addr), len) < 0 ||
+      ::listen(listener.fd(), 1) < 0 ||
+      ::getsockname(listener.fd(), reinterpret_cast<sockaddr*>(&addr),
+                    &len) < 0) {
+    return Status::IOError("loopback listener");
+  }
+  std::thread peer([&listener, &script] {
+    FrameSocket conn(::accept(listener.fd(), nullptr, nullptr));
+    if (!conn.valid()) return;
+    int one = 1;  // small scripted frames must not wait on delayed ACKs
+    ::setsockopt(conn.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    const uint64_t session = 77;
+    auto hello = conn.ReadFrame();
+    if (!hello.ok()) return;
+    WelcomeReply welcome;
+    welcome.session_token = session;
+    welcome.chunk_bytes = 64;
+    if (!conn.SendFrame(MessageType::kWelcome, session,
+                        hello->header.request_id, EncodeWelcome(welcome))
+             .ok()) {
+      return;
+    }
+    auto query = conn.ReadFrame();
+    if (!query.ok()) return;
+    for (const ScriptedFrame& f : script) {
+      if (!conn.SendFrame(f.type, session, query->header.request_id,
+                          f.payload, f.crc)
+               .ok()) {
+        return;
+      }
+    }
+    (void)conn.ReadFrame();  // hold the connection until the client leaves
+  });
+  Result<QueryOutcome> outcome = Status::IOError("client never connected");
+  {
+    auto client = NetClient::Connect("127.0.0.1", ntohs(addr.sin_port));
+    if (client.ok()) {
+      Status login = client->Login("clinic", "clinic-secret");
+      outcome = login.ok() ? client->RunQuery(QuerySpec{}) : login;
+    } else {
+      outcome = client.status();
+    }
+  }  // the client hangs up here, which releases the peer
+  peer.join();
+  return outcome;
+}
+
+/// The client's result-stream checks against hand-built answers: a
+/// 16^3 box region split into 64-byte chunks.
+class ClientResultStreamTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    region::Region reg = region::Region::FromBox(
+        region::GridSpec{3, 4}, curve::CurveKind::kHilbert,
+        geometry::Box3i{{2, 3, 1}, {11, 9, 13}});
+    std::vector<uint8_t> values(reg.VoxelCount());
+    for (size_t i = 0; i < values.size(); ++i) {
+      values[i] = static_cast<uint8_t>(i * 37 + 11);
+    }
+    data_ = volume::DataRegion(std::move(reg), std::move(values));
+    auto payload = EncodeAnswerPayload(data_);
+    ASSERT_TRUE(payload.ok());
+    payload_ = *payload;
+    for (size_t off = 0; off < payload_.size(); off += 64) {
+      size_t n = std::min<size_t>(64, payload_.size() - off);
+      chunks_.emplace_back(payload_.begin() + off, payload_.begin() + off + n);
+    }
+    ASSERT_GE(chunks_.size(), 3u);
+  }
+
+  ScriptedFrame Header(uint64_t announced_bytes) const {
+    ResultHeader rh;
+    rh.payload_bytes = announced_bytes;
+    rh.chunk_count = static_cast<uint32_t>(chunks_.size());
+    rh.chunk_bytes = 64;
+    return Scripted(MessageType::kResultHeader, EncodeResultHeader(rh));
+  }
+
+  ScriptedFrame End(uint32_t payload_crc) const {
+    ResultEnd re;
+    re.payload_bytes = payload_.size();
+    re.chunk_count = static_cast<uint32_t>(chunks_.size());
+    re.payload_crc = payload_crc;
+    return Scripted(MessageType::kResultEnd, EncodeResultEnd(re));
+  }
+
+  /// Header, every chunk in order (`order` permutes them), trailer.
+  std::vector<ScriptedFrame> Answer(uint32_t trailer_crc,
+                                    std::vector<size_t> order = {}) const {
+    if (order.empty()) {
+      for (size_t i = 0; i < chunks_.size(); ++i) order.push_back(i);
+    }
+    std::vector<ScriptedFrame> script = {Header(payload_.size())};
+    for (size_t i : order) {
+      script.push_back(Scripted(MessageType::kResultChunk, chunks_[i]));
+    }
+    script.push_back(End(trailer_crc));
+    return script;
+  }
+
+  volume::DataRegion data_;
+  std::vector<uint8_t> payload_;
+  std::vector<std::vector<uint8_t>> chunks_;
+};
+
+TEST_F(ClientResultStreamTest, CorrectMultiChunkAnswerDecodes) {
+  auto outcome = RunAgainstScript(Answer(Crc32(payload_)));
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->chunks, chunks_.size());
+  EXPECT_EQ(outcome->shipped_bytes, payload_.size());
+  EXPECT_EQ(outcome->data.region().runs(), data_.region().runs());
+  EXPECT_EQ(outcome->data.values(), data_.values());
+}
+
+TEST_F(ClientResultStreamTest, FlippedTrailerCrcBitIsCorruption) {
+  auto outcome = RunAgainstScript(Answer(Crc32(payload_) ^ 0x00010000u));
+  ASSERT_TRUE(outcome.status().IsCorruption()) << outcome.status().ToString();
+  EXPECT_NE(outcome.status().message().find("fails its CRC"),
+            std::string::npos)
+      << outcome.status().ToString();
+}
+
+TEST_F(ClientResultStreamTest, SwappedChunksWithValidFrameCrcsAreCorruption) {
+  // Both chunks are 64 bytes and each frame CRC is right, so the byte
+  // and chunk totals match; only the whole-payload CRC sees the order.
+  std::vector<size_t> order;
+  for (size_t i = 0; i < chunks_.size(); ++i) order.push_back(i);
+  std::swap(order[0], order[1]);
+  auto outcome = RunAgainstScript(Answer(Crc32(payload_), order));
+  ASSERT_TRUE(outcome.status().IsCorruption()) << outcome.status().ToString();
+  EXPECT_NE(outcome.status().message().find("fails its CRC"),
+            std::string::npos)
+      << outcome.status().ToString();
+}
+
+TEST_F(ClientResultStreamTest, OverrunningChunkIsRejectedBeforeItIsRead) {
+  // The second chunk claims one byte more than the announced total
+  // leaves room for, and its frame CRC is wrong: the overrun check must
+  // fire on the header alone, before any of its bytes are read into
+  // the reassembly buffer (a read would report the CRC mismatch).
+  std::vector<uint8_t> overrun(payload_.size() - chunks_[0].size() + 1, 0x5A);
+  std::vector<ScriptedFrame> script = {
+      Header(payload_.size()),
+      Scripted(MessageType::kResultChunk, chunks_[0]),
+      ScriptedFrame{MessageType::kResultChunk, overrun, Crc32(overrun) ^ 1u},
+      End(Crc32(payload_))};
+  auto outcome = RunAgainstScript(script);
+  ASSERT_TRUE(outcome.status().IsCorruption()) << outcome.status().ToString();
+  EXPECT_NE(outcome.status().message().find("overrun the announced"),
+            std::string::npos)
+      << outcome.status().ToString();
 }
 
 }  // namespace
